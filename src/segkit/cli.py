@@ -10,6 +10,7 @@ never left behind on failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import tempfile
@@ -42,6 +43,16 @@ def _read_image(path: str) -> GrayImage | RgbImage:
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc.strerror}") from None
     return decode_pnm(data)
+
+
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc.reason}") from None
 
 
 def _read_gray(path: str) -> GrayImage:
@@ -92,21 +103,29 @@ def _add_threshold_parser(sub):
     p.add_argument("output")
 
 
-def _add_segment_parser(sub):
-    p = sub.add_parser("segment", help="segment an image into labeled classes")
-    p.add_argument("--method", required=True, choices=("kmeans", "edge", "region", "windows"))
-    p.add_argument("--k", type=int, help="cluster count (kmeans/edge)")
+def _add_clustering_arguments(p):
+    """--beta/--seed/--init, shared by segment and predict."""
     p.add_argument("--beta", type=float, default=clustering.DEFAULT_BETA,
                    help="edge weighting strength (edge method)")
     p.add_argument("--seed", type=int, default=0, help="PRNG seed for --init random")
     p.add_argument("--init", choices=("quantile", "random"), default="quantile")
-    p.add_argument("--max-iter", type=int, default=100)
-    p.add_argument("--epsilon", type=float, default=1e-4)
-    p.add_argument("--smooth-radius", type=int, default=1, help="region method")
-    p.add_argument("--variance-threshold", type=float, default=25.0, help="region method")
-    p.add_argument("--min-seed-size", type=int, default=9, help="region method")
-    p.add_argument("--min-region-size", type=int, default=16, help="region method")
-    p.add_argument("--contrast-guard", type=float, default=40.0, help="region method")
+
+
+def _add_region_arguments(p):
+    """One flag per RegionParams field, with the field's type and default."""
+    for f in dataclasses.fields(region.RegionParams):
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                       default=f.default, help="region method")
+
+
+def _add_segment_parser(sub):
+    p = sub.add_parser("segment", help="segment an image into labeled classes")
+    p.add_argument("--method", required=True, choices=("kmeans", "edge", "region", "windows"))
+    p.add_argument("--k", type=int, help="cluster count (kmeans/edge)")
+    _add_clustering_arguments(p)
+    p.add_argument("--max-iter", type=int, default=clustering.ClusteringConfig.max_iter)
+    p.add_argument("--epsilon", type=float, default=clustering.ClusteringConfig.epsilon)
+    _add_region_arguments(p)
     p.add_argument("--window", type=int, default=features.DEFAULT_WINDOW,
                    help="local histogram window (windows method)")
     p.add_argument("--refine", type=int, default=0,
@@ -139,14 +158,11 @@ def _add_predict_parser(sub):
     p.add_argument("--segment-method", choices=("region", "kmeans", "edge"),
                    default="region")
     p.add_argument("--k", type=int, default=2, help="cluster count (kmeans/edge)")
-    p.add_argument("--beta", type=float, default=clustering.DEFAULT_BETA)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--init", choices=("quantile", "random"), default="quantile")
-    p.add_argument("--smooth-radius", type=int, default=1)
-    p.add_argument("--variance-threshold", type=float, default=25.0)
-    p.add_argument("--min-seed-size", type=int, default=9)
-    p.add_argument("--min-region-size", type=int, default=16)
-    p.add_argument("--contrast-guard", type=float, default=40.0)
+    _add_clustering_arguments(p)
+    _add_region_arguments(p)
+    # not user-settable for predict; _clustering_config reads them
+    p.set_defaults(max_iter=clustering.ClusteringConfig.max_iter,
+                   epsilon=clustering.ClusteringConfig.epsilon)
     p.add_argument("input")
 
 
@@ -186,11 +202,7 @@ def _clustering_config(args) -> clustering.ClusteringConfig:
 
 def _region_params(args) -> region.RegionParams:
     return region.RegionParams(
-        smooth_radius=args.smooth_radius,
-        variance_threshold=args.variance_threshold,
-        min_seed_size=args.min_seed_size,
-        min_region_size=args.min_region_size,
-        contrast_guard=args.contrast_guard,
+        **{f.name: getattr(args, f.name) for f in dataclasses.fields(region.RegionParams)}
     )
 
 
@@ -198,11 +210,14 @@ def _parse_exemplars(specs: list[str]) -> list[features.Exemplar]:
     exemplars = []
     for spec in specs:
         label_text, _, path = spec.partition(":")
-        if not path or not label_text.isdigit():
+        if not path or not label_text.isdecimal():
             raise _UsageError(f"--exemplar expects LABEL:FILE with integer LABEL, got {spec!r}")
-        patch = _read_gray(path)
-        feat = features.global_feature(patch)
-        exemplars.append(features.Exemplar(label=int(label_text), feature=feat))
+        feat = features.global_feature(_read_gray(path))
+        try:
+            label = int(label_text)  # isdecimal text, so only too many digits fail
+        except ValueError:
+            raise PreconditionError(f"--exemplar label of {len(label_text)} digits") from None
+        exemplars.append(features.Exemplar(label=label, feature=feat))
     return exemplars
 
 
@@ -231,11 +246,7 @@ def _cmd_segment(args, out) -> int:
 
 
 def _load_index(path: str) -> retrieval.Index:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return retrieval.decode_index(fh.read())
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc.strerror}") from None
+    return retrieval.decode_index(_read_text(path))
 
 
 def _cmd_ingest(args, out) -> int:
@@ -244,10 +255,12 @@ def _cmd_ingest(args, out) -> int:
     else:
         index = retrieval.Index()
     image = _read_image(args.input)
-    if "\n" in args.desc:
-        raise PreconditionError("descriptions must not contain newlines")
     rec_id = retrieval.ingest(index, image, args.desc, args.input)
-    _write_atomic_bytes(args.index, retrieval.encode_index(index).encode("utf-8"))
+    try:
+        data = retrieval.encode_index(index).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise PreconditionError(f"path and description must be UTF-8 text: {exc.reason}") from None
+    _write_atomic_bytes(args.index, data)
     print(rec_id, file=out)
     return EXIT_OK
 
@@ -278,9 +291,7 @@ def _image_features(args, image: GrayImage) -> dict[str, float]:
         stats = result.stats
     else:
         beta = args.beta if args.segment_method == "edge" else None
-        init = "seeded-random" if args.init == "random" else "quantile"
-        config = clustering.ClusteringConfig(k=args.k, init=init, seed=args.seed)
-        labels, _ = clustering.segment_clustering(image, config, beta)
+        labels, _ = clustering.segment_clustering(image, _clustering_config(args), beta)
         stats = region.region_stats(labels, image)
     dominant = max(stats, key=lambda s: (s.size, -s.label))
     return {
@@ -293,11 +304,7 @@ def _image_features(args, image: GrayImage) -> dict[str, float]:
 
 
 def _cmd_predict(args, out) -> int:
-    try:
-        with open(args.rules, "r", encoding="utf-8") as fh:
-            rulebase = predict.parse_rulebase(fh.read())
-    except OSError as exc:
-        raise FormatError(f"cannot read {args.rules}: {exc.strerror}") from None
+    rulebase = predict.parse_rulebase(_read_text(args.rules))
     image = _read_gray(args.input)
     feature_map = _image_features(args, image)
     prediction = predict.predict_label(rulebase, feature_map)
@@ -334,7 +341,7 @@ def run(argv: list[str], out=None, err=None) -> int:
     except FormatError as exc:
         print(f"segkit: {exc}", file=err)
         return EXIT_IO
-    except (PreconditionError, ValueError) as exc:
+    except PreconditionError as exc:
         print(f"segkit: {exc}", file=err)
         return EXIT_PARAM
 

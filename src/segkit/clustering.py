@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TooFewPoints
+from .errors import PreconditionError, TooFewPoints
 from .raster import GradientMap, GrayImage, LabelMap, sobel_magnitude
 
 DEFAULT_BETA = 2.0
@@ -56,7 +56,7 @@ class PointSet:
         if p.ndim == 1:
             p = p.reshape(-1, 1)
         if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] < 1:
-            raise ValueError("points must be a nonempty (n, d) array")
+            raise PreconditionError("points must be a nonempty (n, d) array")
         object.__setattr__(self, "points", p)
 
     @property
@@ -77,11 +77,11 @@ class Weights:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 1:
-            raise ValueError("weights must be one-dimensional")
+            raise PreconditionError("weights must be one-dimensional")
         if v.min() < 0:
-            raise ValueError("weights must be nonnegative")
+            raise PreconditionError("weights must be nonnegative")
         if v.max() <= 0:
-            raise ValueError("at least one weight must be positive")
+            raise PreconditionError("at least one weight must be positive")
         object.__setattr__(self, "values", v)
 
     @staticmethod
@@ -98,9 +98,9 @@ class Assignment:
     def __post_init__(self):
         m = np.asarray(self.member_of, dtype=np.int32)
         if m.ndim != 1:
-            raise ValueError("member_of must be one-dimensional")
+            raise PreconditionError("member_of must be one-dimensional")
         if m.size and m.min() < 0:
-            raise ValueError("cluster indices must be nonnegative")
+            raise PreconditionError("cluster indices must be nonnegative")
         object.__setattr__(self, "member_of", m)
 
 
@@ -113,7 +113,7 @@ class ClusterModel:
     def __post_init__(self):
         c = np.asarray(self.centers, dtype=np.float64)
         if c.ndim != 2 or c.shape[0] < 1:
-            raise ValueError("centers must be a (k, d) array with k >= 1")
+            raise PreconditionError("centers must be a (k, d) array with k >= 1")
         object.__setattr__(self, "centers", c)
 
     @property
@@ -131,13 +131,13 @@ class ClusteringConfig:
 
     def __post_init__(self):
         if self.k < 1:
-            raise ValueError("k must be >= 1")
+            raise PreconditionError("k must be >= 1")
         if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+            raise PreconditionError("max_iter must be >= 1")
         if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+            raise PreconditionError("epsilon must be >= 0")
         if self.init not in ("quantile", "seeded-random"):
-            raise ValueError(f"unknown init strategy {self.init!r}")
+            raise PreconditionError(f"unknown init strategy {self.init!r}")
 
 
 @dataclass(frozen=True)
@@ -187,7 +187,7 @@ def assign_points(points: PointSet, model: ClusterModel) -> Assignment:
     pts = points.points
     centers = model.centers
     if pts.shape[1] != centers.shape[1]:
-        raise ValueError("point and center dimensions differ")
+        raise PreconditionError("point and center dimensions differ")
     diffs = pts[:, None, :] - centers[None, :, :]
     d2 = np.einsum("nkd,nkd->nk", diffs, diffs)
     return Assignment(np.argmin(d2, axis=1).astype(np.int32))
@@ -222,9 +222,9 @@ def update_centers(
     a = assignment.member_of
     w = weights.values
     if a.shape[0] != pts.shape[0] or w.shape[0] != pts.shape[0]:
-        raise ValueError("assignment and weights must cover every point")
+        raise PreconditionError("assignment and weights must cover every point")
     if a.size and a.max() >= k:
-        raise ValueError("assignment index out of range")
+        raise PreconditionError("assignment index out of range")
     sums, wsum, count = _cluster_sums(pts, a, w, k)
     dead = (count == 0) | (wsum == 0)
     centers = np.zeros((k, pts.shape[1]))
@@ -237,18 +237,10 @@ def update_centers(
         diffs = pts - centers[a]
         d2 = np.einsum("nd,nd->n", diffs, diffs)
         score = w * d2
-        taken: set[int] = set()
         for j in np.flatnonzero(dead):
-            best = -1
-            best_score = -np.inf
-            for i in range(pts.shape[0]):
-                if i in taken:
-                    continue
-                if score[i] > best_score:
-                    best_score = score[i]
-                    best = i
+            best = int(np.argmax(score))  # first maximum: lowest index on ties
             centers[j] = pts[best]
-            taken.add(best)
+            score[best] = -np.inf  # consumed
     return ClusterModel(centers)
 
 
@@ -300,7 +292,7 @@ def edge_weights(gradient: GradientMap, beta: float) -> Weights:
     """Weights 1 / (1 + beta * g) from gradient magnitudes normalized to
     [0, 1] by the global maximum (an all-zero gradient normalizes to 0)."""
     if beta < 0:
-        raise ValueError("beta must be >= 0")
+        raise PreconditionError("beta must be >= 0")
     mag = gradient.magnitude.astype(np.float64).ravel()
     peak = mag.max()
     ghat = mag / peak if peak > 0 else np.zeros_like(mag)
@@ -317,8 +309,6 @@ def segment_clustering(
     exactly the unit-weight result.
     """
     points = PointSet(image.pixels.astype(np.float64).reshape(-1, 1))
-    if config.k > points.n:
-        raise TooFewPoints(f"k={config.k} exceeds pixel count {points.n}")
     if beta is None:
         weights = Weights.unit(points.n)
     else:

@@ -1,8 +1,10 @@
 """Exception hierarchy shared across segkit modules.
 
 Two families matter to callers: FormatError for malformed files or byte
-streams, PreconditionError for valid files fed to an operation whose
-preconditions they do not meet. The CLI maps them to distinct exit codes.
+streams, PreconditionError for invalid arguments and for valid files fed to
+an operation whose preconditions they do not meet. The CLI maps them to
+distinct exit codes (2 and 3). PreconditionError is also a ValueError, so
+callers that catch ValueError for bad arguments keep working.
 """
 
 
@@ -14,8 +16,9 @@ class FormatError(SegkitError):
     """A file or byte stream violates its format definition."""
 
 
-class PreconditionError(SegkitError):
-    """An operation's precondition does not hold for the given input."""
+class PreconditionError(SegkitError, ValueError):
+    """An argument is out of range, or an operation's precondition does not
+    hold for the given input."""
 
 
 # raster

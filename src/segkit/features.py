@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvenWindow, IncompleteLabels, NoExemplars
-from .raster import GrayImage, LabelMap, RgbImage
+from .errors import IncompleteLabels, NoExemplars, PreconditionError
+from .raster import GrayImage, LabelMap, RgbImage, boundary_mask, require_odd_window
 
 GRAY_DIM = 256
 COLOR_DIM = 64
@@ -34,11 +34,11 @@ class FeatureVector:
     def __post_init__(self):
         b = np.asarray(self.bins, dtype=np.float64)
         if b.ndim != 1 or b.size < 1:
-            raise ValueError("bins must be a nonempty 1-D array")
+            raise PreconditionError("bins must be a nonempty 1-D array")
         if b.min() < 0:
-            raise ValueError("bins must be nonnegative")
+            raise PreconditionError("bins must be nonnegative")
         if self.normalized and abs(b.sum() - 1.0) > _NORMALIZATION_TOL:
-            raise ValueError("normalized feature bins must sum to 1")
+            raise PreconditionError("normalized feature bins must sum to 1")
         object.__setattr__(self, "bins", b)
 
     @property
@@ -54,23 +54,23 @@ class Exemplar:
     feature: FeatureVector
 
     def __post_init__(self):
-        if self.label < 0:
-            raise ValueError("exemplar label must be >= 0")
+        if not 0 <= self.label <= np.iinfo(np.int32).max:  # labels are int32
+            raise PreconditionError(f"exemplar label must be in [0, 2**31 - 1], got {self.label}")
         if not self.feature.normalized:
-            raise ValueError("exemplar feature must be normalized")
+            raise PreconditionError("exemplar feature must be normalized")
 
 
 def _window_counts(image: GrayImage, window: int) -> np.ndarray:
     """Per-pixel intensity counts of the clamped window, shape (h, w, 256).
 
-    uint16 is enough: every window holds window^2 <= 65535 samples.
+    Stored in the smallest unsigned type that holds window^2, the largest
+    possible count (uint8 up to window 15).
     """
-    if window < 1 or window % 2 == 0:
-        raise EvenWindow(f"window must be odd and >= 1, got {window}")
+    require_odd_window(window)
     h, w = image.pixels.shape
     r = window // 2
     padded = np.pad(image.pixels, r, mode="edge")
-    out = np.empty((h, w, GRAY_DIM), dtype=np.uint16)
+    out = np.empty((h, w, GRAY_DIM), dtype=np.min_scalar_type(window * window))
     chunk = max(1, (1 << 21) // (w * GRAY_DIM))  # rows per pass, ~16 MB counts
     for y0 in range(0, h, chunk):
         rows = min(chunk, h - y0)
@@ -88,10 +88,9 @@ def _window_counts(image: GrayImage, window: int) -> np.ndarray:
 
 def local_histogram(image: GrayImage, x: int, y: int, window: int) -> FeatureVector:
     """Normalized 256-bin histogram of the window centered at (x, y)."""
-    if window < 1 or window % 2 == 0:
-        raise EvenWindow(f"window must be odd and >= 1, got {window}")
+    require_odd_window(window)
     if not (0 <= x < image.width and 0 <= y < image.height):
-        raise ValueError(f"({x}, {y}) outside {image.width}x{image.height} image")
+        raise PreconditionError(f"({x}, {y}) outside {image.width}x{image.height} image")
     r = window // 2
     ys = np.clip(np.arange(y - r, y + r + 1), 0, image.height - 1)
     xs = np.clip(np.arange(x - r, x + r + 1), 0, image.width - 1)
@@ -112,7 +111,7 @@ def classify_windows(
         raise NoExemplars("need at least one exemplar")
     for e in exemplars:
         if e.feature.dimension != GRAY_DIM:
-            raise ValueError("exemplar features must have 256 bins")
+            raise PreconditionError("exemplar features must have 256 bins")
     order = sorted(range(len(exemplars)), key=lambda i: (exemplars[i].label, i))
     feats = np.stack([exemplars[i].feature.bins for i in order])
     labels_of = np.array([exemplars[i].label for i in order], dtype=np.int32)
@@ -143,7 +142,7 @@ def refine_boundaries(
     if not labels.complete:
         raise IncompleteLabels("refine_boundaries needs a complete label map")
     if iterations < 0:
-        raise ValueError("iterations must be >= 0")
+        raise PreconditionError("iterations must be >= 0")
     lab = labels.labels.copy()
     k = labels.k
     if iterations == 0:
@@ -162,11 +161,7 @@ def refine_boundaries(
         means = np.zeros((k, GRAY_DIM))
         means[present] = sums[present] / (class_sizes[present, None] * float(area))
 
-        boundary = np.zeros((h, w), dtype=bool)
-        boundary[:, :-1] |= lab[:, :-1] != lab[:, 1:]
-        boundary[:, 1:] |= lab[:, :-1] != lab[:, 1:]
-        boundary[:-1, :] |= lab[:-1, :] != lab[1:, :]
-        boundary[1:, :] |= lab[:-1, :] != lab[1:, :]
+        boundary = boundary_mask(lab)
         idx = np.flatnonzero(boundary.ravel())
         if idx.size == 0:
             break

@@ -23,6 +23,7 @@ from .errors import (
     DuplicateFeatureInRule,
     EmptyRuleBase,
     MissingFeature,
+    PreconditionError,
     RuleSyntaxError,
 )
 
@@ -51,7 +52,7 @@ class FuzzyRule:
 
     def __post_init__(self):
         if not self.antecedents:
-            raise ValueError("a rule needs at least one antecedent")
+            raise PreconditionError("a rule needs at least one antecedent")
         names = [name for name, _ in self.antecedents]
         if len(set(names)) != len(names):
             raise DuplicateFeatureInRule(f"duplicate feature in rule {self.label!r}")
@@ -148,20 +149,16 @@ def parse_rulebase(text: str) -> RuleBase:
         if not label or any(ch.isspace() for ch in label):
             raise RuleSyntaxError(f"line {lineno}: label must be a single token")
         antecedents = []
-        seen = set()
-        for clause in re.split(r"\s+AND\s+", body.strip()):
-            m = _ANTECEDENT_RE.match(clause.strip())
-            if not m:
-                raise RuleSyntaxError(f"line {lineno}: bad antecedent {clause.strip()!r}")
-            name = m.group("name")
-            if name in seen:
-                raise DuplicateFeatureInRule(f"line {lineno}: feature {name!r} repeated")
-            seen.add(name)
-            knots = [_parse_knot(m.group(g), lineno) for g in "abcd"]
-            if not (knots[0] <= knots[1] <= knots[2] <= knots[3]):
-                raise BadKnots(f"line {lineno}: knots {tuple(knots)} not ascending")
-            antecedents.append((name, Trapezoid(*knots)))
-        rules.append(FuzzyRule(label=label, antecedents=tuple(antecedents)))
+        try:
+            for clause in re.split(r"\s+AND\s+", body.strip()):
+                m = _ANTECEDENT_RE.match(clause.strip())
+                if not m:
+                    raise RuleSyntaxError(f"line {lineno}: bad antecedent {clause.strip()!r}")
+                knots = [_parse_knot(m.group(g), lineno) for g in "abcd"]
+                antecedents.append((m.group("name"), Trapezoid(*knots)))
+            rules.append(FuzzyRule(label=label, antecedents=tuple(antecedents)))
+        except (BadKnots, DuplicateFeatureInRule) as exc:
+            raise type(exc)(f"line {lineno}: {exc}") from None
     if not rules:
         raise EmptyRuleBase("no rules found")
     return RuleBase(tuple(rules))

@@ -11,9 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadMagic, TruncatedData, UnsupportedMaxval
+from .errors import BadMagic, EvenWindow, PreconditionError, TruncatedData, UnsupportedMaxval
 
 UNLABELED = -1
+
+# Largest window (2 * radius + 1) accepted: it keeps the padded int64 buffer
+# of an image under 2**28 px a side below numpy's 2**63-byte array limit.
+MAX_WINDOW = (1 << 29) - 1
 
 
 @dataclass(frozen=True)
@@ -25,7 +29,7 @@ class GrayImage:
     def __post_init__(self):
         p = np.asarray(self.pixels, dtype=np.uint8)
         if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] < 1:
-            raise ValueError("GrayImage needs a (height, width) array with both dims >= 1")
+            raise PreconditionError("GrayImage needs a (height, width) array with both dims >= 1")
         object.__setattr__(self, "pixels", p)
 
     @property
@@ -46,7 +50,7 @@ class RgbImage:
     def __post_init__(self):
         p = np.asarray(self.pixels, dtype=np.uint8)
         if p.ndim != 3 or p.shape[2] != 3 or p.shape[0] < 1 or p.shape[1] < 1:
-            raise ValueError("RgbImage needs a (height, width, 3) array with both dims >= 1")
+            raise PreconditionError("RgbImage needs a (height, width, 3) array with both dims >= 1")
         object.__setattr__(self, "pixels", p)
 
     @property
@@ -73,15 +77,15 @@ class LabelMap:
     def __post_init__(self):
         lab = np.asarray(self.labels, dtype=np.int32)
         if lab.ndim != 2:
-            raise ValueError("labels must be a (height, width) array")
+            raise PreconditionError("labels must be a (height, width) array")
         if self.k < 1:
-            raise ValueError("k must be >= 1")
+            raise PreconditionError("k must be >= 1")
         if self.complete:
             if lab.min() < 0 or lab.max() >= self.k:
-                raise ValueError("complete LabelMap must have all labels in [0, k)")
+                raise PreconditionError("complete LabelMap must have all labels in [0, k)")
         else:
             if lab.min() < UNLABELED or lab.max() >= self.k:
-                raise ValueError("partial LabelMap labels must be UNLABELED or in [0, k)")
+                raise PreconditionError("partial LabelMap labels must be UNLABELED or in [0, k)")
         object.__setattr__(self, "labels", lab)
 
     @property
@@ -102,9 +106,9 @@ class GradientMap:
     def __post_init__(self):
         m = np.asarray(self.magnitude)
         if m.ndim != 2:
-            raise ValueError("magnitude must be a (height, width) array")
+            raise PreconditionError("magnitude must be a (height, width) array")
         if m.min() < 0:
-            raise ValueError("magnitudes must be nonnegative")
+            raise PreconditionError("magnitudes must be nonnegative")
         object.__setattr__(self, "magnitude", m)
 
     @property
@@ -155,7 +159,10 @@ def decode_pnm(data: bytes) -> GrayImage | RgbImage:
         tok, pos = _read_header_token(data, pos)
         if not tok.isdigit():
             raise TruncatedData(f"malformed header field {tok!r}")
-        fields.append(int(tok))
+        try:
+            fields.append(int(tok))
+        except ValueError:  # more digits than int() converts
+            raise TruncatedData(f"header field of {len(tok)} digits") from None
     width, height, maxval = fields
     if maxval != 255:
         raise UnsupportedMaxval(f"maxval {maxval} (only 255 supported)")
@@ -216,14 +223,36 @@ def _clamped_window_sums(values: np.ndarray, radius: int) -> np.ndarray:
 
 def box_smooth(image: GrayImage, radius: int) -> GrayImage:
     """Mean filter over the (2r+1)^2 clamped window, rounded half up."""
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
+    if not 0 <= radius <= MAX_WINDOW // 2:
+        raise PreconditionError(f"radius must be in [0, {MAX_WINDOW // 2}], got {radius}")
     if radius == 0:
         return GrayImage(image.pixels.copy())
     area = (2 * radius + 1) ** 2
     sums = _clamped_window_sums(image.pixels, radius)
     out = (2 * sums + area) // (2 * area)
     return GrayImage(out.astype(np.uint8))
+
+
+def require_odd_window(window: int) -> None:
+    """Raise EvenWindow unless window is an odd size >= 1, and
+    PreconditionError when it exceeds MAX_WINDOW."""
+    if window < 1 or window % 2 == 0:
+        raise EvenWindow(f"window must be odd and >= 1, got {window}")
+    if window > MAX_WINDOW:
+        raise PreconditionError(f"window {window} exceeds {MAX_WINDOW}")
+
+
+def boundary_mask(labels: np.ndarray) -> np.ndarray:
+    """True where any 4-neighbor carries a different label; neighbors
+    outside the image do not count."""
+    mask = np.zeros(labels.shape, dtype=bool)
+    horizontal = labels[:, :-1] != labels[:, 1:]
+    vertical = labels[:-1, :] != labels[1:, :]
+    mask[:, :-1] |= horizontal
+    mask[:, 1:] |= horizontal
+    mask[:-1, :] |= vertical
+    mask[1:, :] |= vertical
+    return mask
 
 
 def sobel_magnitude(image: GrayImage) -> GradientMap:

@@ -19,8 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import EmptySeeds, IncompleteLabels, NoSeeds
-from .raster import UNLABELED, GrayImage, LabelMap, _clamped_window_sums, box_smooth
+from .errors import EmptySeeds, IncompleteLabels, NoSeeds, PreconditionError
+from .raster import UNLABELED, GrayImage, LabelMap, _clamped_window_sums, boundary_mask, box_smooth
 
 _NEIGHBORS4 = ((-1, 0), (1, 0), (0, -1), (0, 1))
 
@@ -35,11 +35,11 @@ class RegionParams:
 
     def __post_init__(self):
         if self.smooth_radius < 0 or self.variance_threshold < 0:
-            raise ValueError("smooth_radius and variance_threshold must be >= 0")
+            raise PreconditionError("smooth_radius and variance_threshold must be >= 0")
         if self.min_seed_size < 1:
-            raise ValueError("min_seed_size must be >= 1")
+            raise PreconditionError("min_seed_size must be >= 1")
         if self.min_region_size < 0 or self.contrast_guard < 0:
-            raise ValueError("min_region_size and contrast_guard must be >= 0")
+            raise PreconditionError("min_region_size and contrast_guard must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,7 @@ def grow_regions(image: GrayImage, seeds: LabelMap) -> LabelMap:
     h, w = seeds.labels.shape
     pix = image.pixels
     if (h, w) != (pix.shape[0], pix.shape[1]):
-        raise ValueError("seed map and image dimensions differ")
+        raise PreconditionError("seed map and image dimensions differ")
     labels = seeds.labels.copy()
     sums = np.bincount(
         labels[labels >= 0], weights=pix[labels >= 0].astype(np.float64), minlength=seeds.k
@@ -189,29 +189,23 @@ def merge_small_regions(
     """
     if not labels.complete:
         raise IncompleteLabels("merge_small_regions needs a complete label map")
-    h, w = labels.labels.shape
-    lab = labels.labels.copy()
+    lab = labels.labels
     k = labels.k
     flat = lab.ravel()
     pix = image.pixels.astype(np.int64).ravel()
     sums = np.bincount(flat, weights=pix.astype(np.float64), minlength=k).astype(np.int64)
     counts = np.bincount(flat, minlength=k).astype(np.int64)
 
-    # region adjacency over 4-neighbors
+    # region adjacency over 4-neighbors: distinct (low, high) label pairs
+    a = np.concatenate((lab[:, :-1].ravel(), lab[:-1, :].ravel())).astype(np.int64)
+    b = np.concatenate((lab[:, 1:].ravel(), lab[1:, :].ravel())).astype(np.int64)
+    differ = a != b
+    pairs = np.unique(np.minimum(a, b)[differ] * k + np.maximum(a, b)[differ])
     adj: dict[int, set[int]] = {j: set() for j in range(k)}
-    for y in range(h):
-        for x in range(w):
-            a = lab[y, x]
-            if x + 1 < w:
-                b = lab[y, x + 1]
-                if a != b:
-                    adj[int(a)].add(int(b))
-                    adj[int(b)].add(int(a))
-            if y + 1 < h:
-                b = lab[y + 1, x]
-                if a != b:
-                    adj[int(a)].add(int(b))
-                    adj[int(b)].add(int(a))
+    for lo, hi in zip(*divmod(pairs, k)):
+        adj[int(lo)].add(int(hi))
+        adj[int(hi)].add(int(lo))
+    owner = np.arange(k, dtype=np.int32)  # region each original label now belongs to
 
     alive = set(range(k))
     kept: set[int] = set()
@@ -240,7 +234,7 @@ def merge_small_regions(
             kept.add(j)  # distinct small detail, never merged
             continue
         # fold j into target
-        lab[lab == j] = target
+        owner[owner == j] = target
         sums[target] += sums[j]
         counts[target] += counts[j]
         alive.discard(j)
@@ -252,6 +246,7 @@ def merge_small_regions(
         adj[target].discard(target)
         adj[j] = set()
 
+    lab = owner[lab]
     # compact labels in raster order of first occurrence
     values, first_seen = np.unique(lab.ravel(), return_index=True)
     ranks = np.empty(values.size, dtype=np.int32)
@@ -282,11 +277,7 @@ def region_stats(labels: LabelMap, image: GrayImage) -> list[RegionStats]:
         flat, weights=(pix * pix).ravel().astype(np.float64), minlength=k
     ).astype(np.int64)
 
-    boundary = np.zeros((h, w), dtype=bool)
-    boundary[:, :-1] |= lab[:, :-1] != lab[:, 1:]
-    boundary[:, 1:] |= lab[:, :-1] != lab[:, 1:]
-    boundary[:-1, :] |= lab[:-1, :] != lab[1:, :]
-    boundary[1:, :] |= lab[:-1, :] != lab[1:, :]
+    boundary = boundary_mask(lab)
     bcounts = np.bincount(flat[boundary.ravel()], minlength=k)
 
     ys, xs = np.mgrid[0:h, 0:w]

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadHeader, BadRecord, DimensionMismatch, EmptyIndex
+from .errors import BadHeader, BadRecord, DimensionMismatch, EmptyIndex, PreconditionError
 from .features import FeatureVector, global_feature_counts
 from .raster import GrayImage, RgbImage
 
@@ -46,11 +46,11 @@ class ImageRecord:
     def __post_init__(self):
         c = np.asarray(self.counts, dtype=np.int64)
         if c.ndim != 1 or c.min() < 0:
-            raise ValueError("counts must be a 1-D nonnegative array")
+            raise PreconditionError("counts must be a 1-D nonnegative array")
         if self.total != int(c.sum()) or self.total <= 0:
-            raise ValueError("total must equal the positive sum of counts")
+            raise PreconditionError("total must equal the positive sum of counts")
         if "\n" in self.description:
-            raise ValueError("descriptions must not contain newlines")
+            raise PreconditionError("descriptions must not contain newlines")
         object.__setattr__(self, "counts", c)
         object.__setattr__(self, "_bins", c / self.total)
         object.__setattr__(self, "pivot_distance", _pivot_distance(c, self.total))
@@ -94,7 +94,7 @@ def similarity(a: FeatureVector, b: FeatureVector) -> float:
     if a.dimension != b.dimension:
         raise DimensionMismatch(f"dimensions {a.dimension} and {b.dimension} differ")
     if not (a.normalized and b.normalized):
-        raise ValueError("similarity needs normalized features")
+        raise PreconditionError("similarity needs normalized features")
     return float(np.minimum(a.bins, b.bins).sum())
 
 
@@ -122,11 +122,14 @@ def ingest(index: Index, image: GrayImage | RgbImage, description: str, path: st
     return rec.id
 
 
-def _query_bins(index: Index, query: FeatureVector) -> np.ndarray:
+def _query_bins(index: Index, query: FeatureVector, top: int) -> np.ndarray:
+    """The query's bins, after checking top, the index and the query."""
+    if top < 1:
+        raise PreconditionError("top must be >= 1")
     if not index.records:
         raise EmptyIndex("index holds no records")
     if not query.normalized:
-        raise ValueError("query feature must be normalized")
+        raise PreconditionError("query feature must be normalized")
     if query.dimension != index.feature_dim:
         raise DimensionMismatch(
             f"query dimension {query.dimension} != index dimension {index.feature_dim}"
@@ -138,17 +141,16 @@ def _score(record: ImageRecord, qbins: np.ndarray) -> float:
     return float(np.minimum(record._bins, qbins).sum())
 
 
+def _ranked(record: ImageRecord, score: float) -> RankedResult:
+    return RankedResult(id=record.id, score=score, path=record.path, description=record.description)
+
+
 def search_exhaustive(index: Index, query: FeatureVector, top: int) -> list[RankedResult]:
     """Score every record; return the best min(top, n), ties to lower ids."""
-    if top < 1:
-        raise ValueError("top must be >= 1")
-    qbins = _query_bins(index, query)
+    qbins = _query_bins(index, query, top)
     scored = [(_score(r, qbins), r) for r in index.records]
     scored.sort(key=lambda sr: (-sr[0], sr[1].id))
-    return [
-        RankedResult(id=r.id, score=s, path=r.path, description=r.description)
-        for s, r in scored[:top]
-    ]
+    return [_ranked(r, s) for s, r in scored[:top]]
 
 
 def search_optimized(
@@ -163,9 +165,7 @@ def search_optimized(
     candidate is provably worse and the scan stops. Returns the ranked
     results and how many records had their bins examined.
     """
-    if top < 1:
-        raise ValueError("top must be >= 1")
-    qbins = _query_bins(index, query)
+    qbins = _query_bins(index, query, top)
     dim = index.feature_dim
     qtotal_scaled = qbins * dim  # query scaled so pivot bins are exactly 1
     dq = float(np.abs(qtotal_scaled - 1.0).sum() / dim)
@@ -189,12 +189,8 @@ def search_optimized(
         elif item > best[0]:
             heapq.heapreplace(best, item)
     by_rank = sorted(best, key=lambda si: (-si[0], -si[1]))
-    by_id = {r.id: r for r in index.records}
-    results = [
-        RankedResult(id=-ni, score=s, path=by_id[-ni].path, description=by_id[-ni].description)
-        for s, ni in by_rank
-    ]
-    return results, examined
+    # ingest and decode_index keep id == position
+    return [_ranked(index.records[-ni], s) for s, ni in by_rank], examined
 
 
 def escape_field(text: str) -> str:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyHistogram, EvenWindow, NoTwoPeaks
-from .raster import GrayImage, LabelMap
+from .errors import EmptyHistogram, NoTwoPeaks, PreconditionError
+from .raster import GrayImage, LabelMap, require_odd_window
 
 BINS = 256
 
@@ -31,9 +31,9 @@ class Histogram:
     def __post_init__(self):
         c = np.asarray(self.counts)
         if c.shape != (BINS,):
-            raise ValueError("histogram needs exactly 256 bins")
+            raise PreconditionError("histogram needs exactly 256 bins")
         if c.min() < 0:
-            raise ValueError("counts must be nonnegative")
+            raise PreconditionError("counts must be nonnegative")
         object.__setattr__(self, "counts", c)
 
     @property
@@ -67,8 +67,7 @@ def smooth_histogram(h: Histogram, window: int) -> Histogram:
     window//2 bins away from both ends; replication inflates mass that
     sits on the extreme bins for windows of 5 and up.
     """
-    if window < 1 or window % 2 == 0:
-        raise EvenWindow(f"window must be odd and >= 1, got {window}")
+    require_odd_window(window)
     if window == 1:
         return Histogram(np.asarray(h.counts, dtype=np.float64).copy())
     r = window // 2
@@ -83,18 +82,11 @@ def _local_maxima(counts: np.ndarray) -> list[int]:
 
     Plateau edges qualify; plateau interiors and constant histograms do not.
     """
-    maxima = []
-    for b in range(BINS):
-        left = counts[b - 1] if b > 0 else None
-        right = counts[b + 1] if b < BINS - 1 else None
-        ge_left = left is None or counts[b] >= left
-        ge_right = right is None or counts[b] >= right
-        gt_some = (left is not None and counts[b] > left) or (
-            right is not None and counts[b] > right
-        )
-        if ge_left and ge_right and gt_some:
-            maxima.append(b)
-    return maxima
+    a, b = counts[:-1], counts[1:]  # every adjacent pair of bins
+    ge_left = np.r_[True, b >= a]
+    ge_right = np.r_[a >= b, True]
+    gt_some = np.r_[False, b > a] | np.r_[a > b, False]
+    return np.flatnonzero(ge_left & ge_right & gt_some).tolist()
 
 
 def valley_threshold(
@@ -105,10 +97,11 @@ def valley_threshold(
     """Threshold at the deepest point between the two dominant peaks.
 
     The histogram is smoothed, its local maxima are found, and among all
-    maxima pairs at least min_separation bins apart the pair with the
-    largest values wins (compared by higher value, then lower value, then
-    lower bins). The level is the argmin strictly between the two peak
-    bins; all ties resolve to the lowest bin.
+    maxima pairs at least min_separation bins apart (and never adjacent, so
+    a bin lies between them) the pair with the largest values wins
+    (compared by higher value, then lower value, then lower bins). The
+    level is the argmin strictly between the two peak bins; all ties
+    resolve to the lowest bin.
 
     Raises NoTwoPeaks when no sufficiently separated pair exists.
     """
@@ -118,7 +111,7 @@ def valley_threshold(
     for i in range(len(maxima)):
         for j in range(i + 1, len(maxima)):
             lo, hi = maxima[i], maxima[j]
-            if hi - lo < min_separation:
+            if hi - lo < max(min_separation, 2):
                 continue
             v_hi, v_lo = sorted((smoothed[lo], smoothed[hi]), reverse=True)
             # prefer larger values, then lower bins
@@ -126,9 +119,7 @@ def valley_threshold(
             if best is None or key < best[0]:
                 best = (key, lo, hi)
     if best is None:
-        raise NoTwoPeaks(
-            f"no two local maxima separated by >= {min_separation} bins"
-        )
+        raise NoTwoPeaks(f"no two local maxima separated by >= {min_separation} bins")
     _, p_lo, p_hi = best
     between = smoothed[p_lo + 1 : p_hi]
     level = p_lo + 1 + int(np.argmin(between))
@@ -148,7 +139,7 @@ def otsu_threshold(h: Histogram) -> ThresholdReport:
     if counts.sum() <= 0:
         raise EmptyHistogram("histogram has no mass")
     if not np.issubdtype(counts.dtype, np.integer):
-        raise ValueError("otsu_threshold needs integer counts")
+        raise PreconditionError("otsu_threshold needs integer counts")
     c = counts.astype(np.int64)
     n0 = np.cumsum(c)
     s0 = np.cumsum(c * np.arange(BINS, dtype=np.int64))
@@ -176,6 +167,6 @@ def otsu_threshold(h: Histogram) -> ThresholdReport:
 def binarize(image: GrayImage, level: int) -> LabelMap:
     """Label 1 where pixel > level, 0 otherwise."""
     if not 0 <= level <= 255:
-        raise ValueError(f"level must be in [0, 255], got {level}")
+        raise PreconditionError(f"level must be in [0, 255], got {level}")
     labels = (image.pixels > level).astype(np.int32)
     return LabelMap(labels=labels, k=2, complete=True)

@@ -80,6 +80,14 @@ class TestThresholdCommand:
         code, _, _ = invoke(["threshold", "--method", "otsu", str(src), str(out)])
         assert code == 2 and not out.exists()
 
+    def test_oversized_header_field_exits_2(self, tmp_path):
+        # more digits than int() converts
+        src = tmp_path / "long.pgm"
+        src.write_bytes(b"P5\n" + b"1" * 5000 + b" 2\n255\n" + bytes(4))
+        out = tmp_path / "o.pgm"
+        code, _, err = invoke(["threshold", "--method", "otsu", str(src), str(out)])
+        assert code == 2 and err and not out.exists()
+
 
 class TestSegmentCommand:
     def test_kmeans_deterministic_bytes(self, tmp_path, half_image_file):
@@ -303,3 +311,63 @@ class TestDeterminism:
             _, q, _ = invoke(["query", "--index", str(idx), "--top", "1", str(src)])
             runs.append((seg.read_bytes(), thr.read_bytes(), idx.read_bytes(), q))
         assert runs[0] == runs[1]
+
+
+class TestParameterErrors:
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["segment", "--method", "region", "--smooth-radius", "-1"], id="smooth-radius"),
+        pytest.param(["segment", "--method", "region", "--min-seed-size", "0"], id="min-seed-size"),
+        pytest.param(["segment", "--method", "region", "--variance-threshold", "-1"],
+                     id="variance-threshold"),
+        pytest.param(["segment", "--method", "region", "--min-region-size", "-1"],
+                     id="min-region-size"),
+        pytest.param(["segment", "--method", "region", "--contrast-guard", "-1"], id="contrast-guard"),
+        pytest.param(["segment", "--method", "kmeans", "--k", "0"], id="k"),
+        pytest.param(["segment", "--method", "kmeans", "--k", "2", "--max-iter", "0"], id="max-iter"),
+        pytest.param(["segment", "--method", "kmeans", "--k", "2", "--epsilon", "-1"], id="epsilon"),
+        pytest.param(["segment", "--method", "edge", "--k", "2", "--beta", "-1"], id="beta"),
+        pytest.param(["segment", "--method", "windows", "--exemplar", "0:{image}", "--refine", "-1"],
+                     id="refine"),
+        pytest.param(["segment", "--method", "windows", "--exemplar", "0:{image}", "--window", "4"],
+                     id="segment-window"),
+        pytest.param(["threshold", "--method", "valley", "--window", "4"], id="threshold-window"),
+        pytest.param(["threshold", "--method", "valley", "--window", str(2**60 + 1)],
+                     id="threshold-window-too-large"),
+        pytest.param(["segment", "--method", "windows", "--exemplar", "0:{image}",
+                      "--window", str(2**32 + 1)], id="segment-window-too-large"),
+        pytest.param(["segment", "--method", "region", "--smooth-radius", str(2**31)],
+                     id="smooth-radius-too-large"),
+        pytest.param(["segment", "--method", "windows", "--exemplar", "2147483648:{image}"],
+                     id="exemplar-label"),
+        pytest.param(["segment", "--method", "windows", "--exemplar", "1" * 5000 + ":{image}"],
+                     id="exemplar-label-digits"),
+        pytest.param(["predict", "--rules", "{rules}", "--smooth-radius", "-1"],
+                     id="predict-smooth-radius"),
+        pytest.param(["predict", "--rules", "{rules}", "--segment-method", "kmeans", "--k", "0"],
+                     id="predict-k"),
+        pytest.param(["predict", "--rules", "{rules}", "--segment-method", "edge", "--beta", "-1"],
+                     id="predict-beta"),
+        pytest.param(["ingest", "--index", "{out}", "--desc", "two\nlines"], id="desc-newline"),
+        pytest.param(["ingest", "--index", "{out}", "--desc", "bad \udcff byte"], id="desc-not-utf8"),
+    ])
+    def test_out_of_range_flag_exits_3(self, tmp_path, half_image_file, argv):
+        rules = tmp_path / "rules.txt"
+        rules.write_text("RULE any : mean IN (0,0,255,255)\n")
+        out = tmp_path / "o.pgm"
+        argv = [a.format(image=half_image_file, rules=rules, out=out) for a in argv]
+        argv.append(str(half_image_file))
+        if argv[0] in ("segment", "threshold"):
+            argv.append(str(out))
+        code, stdout, err = invoke(argv)
+        assert code == 3 and err and not stdout
+        assert not out.exists()
+
+    def test_valley_adjacent_peaks_exits_3(self, tmp_path):
+        # the only two maxima are neighbors, with no bin between them
+        src = tmp_path / "two-levels.pgm"
+        write_pgm(src, np.repeat([[100, 101]], 4, axis=0))
+        out = tmp_path / "o.pgm"
+        code, stdout, err = invoke(["threshold", "--method", "valley", "--window", "1",
+                                    "--min-sep", "1", str(src), str(out)])
+        assert code == 3 and err and not stdout
+        assert not out.exists()

@@ -95,6 +95,14 @@ class TestClassifyWindows:
         labels = classify_windows(img, exemplars, window=1)
         assert (labels.labels == 0).all()
 
+    def test_large_window_counts_do_not_wrap(self):
+        # a 257x257 window holds 66049 samples, more than uint16 can count
+        pix = np.full((10, 10), 50, dtype=np.uint8)
+        pix[0, 4] = pix[0, 5] = 200
+        exemplars = [Exemplar(0, delta_feature(50)), Exemplar(1, delta_feature(200))]
+        labels = classify_windows(GrayImage(pix), exemplars, window=257)
+        assert (labels.labels == 0).all()
+
 
 class TestRefineBoundaries:
     def test_zero_iterations_identity(self):

@@ -7,6 +7,7 @@ from segkit.errors import EmptyHistogram, EvenWindow, NoTwoPeaks
 from segkit.raster import GrayImage
 from segkit.threshold import (
     Histogram,
+    _local_maxima,
     binarize,
     gray_histogram,
     otsu_threshold,
@@ -76,6 +77,34 @@ def two_peak_fixture():
         dtype=np.int64,
     )
     return Histogram(counts)
+
+
+def local_maxima_loop(counts):
+    """Reference for _local_maxima: the per-bin definition as a loop."""
+    maxima = []
+    for b in range(256):
+        left = counts[b - 1] if b > 0 else None
+        right = counts[b + 1] if b < 255 else None
+        ge_left = left is None or counts[b] >= left
+        ge_right = right is None or counts[b] >= right
+        gt_some = (left is not None and counts[b] > left) or (
+            right is not None and counts[b] > right
+        )
+        if ge_left and ge_right and gt_some:
+            maxima.append(b)
+    return maxima
+
+
+class TestLocalMaxima:
+    def test_matches_loop_reference(self):
+        rng = np.random.default_rng(0)
+        for i in range(300):
+            counts = rng.integers(0, 4, 256)  # few levels: many plateaus
+            if i % 3 == 1:
+                counts = np.repeat(counts[:32], 8)  # wide plateaus
+            elif i % 3 == 2:
+                counts = smooth_histogram(Histogram(counts), 5).counts
+            assert _local_maxima(counts) == local_maxima_loop(counts)
 
 
 class TestValleyThreshold:
