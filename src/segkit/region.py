@@ -5,15 +5,17 @@ local variance at or below a threshold), grows them until every pixel is
 labeled, then absorbs undersized regions into their most similar neighbor
 unless a contrast guard says the region is a genuinely distinct detail.
 
-Region means are tracked as exact integer (sum, count) pairs and queue
-priorities as exact rationals, so growth order never depends on
-floating-point rounding.
+Region means are tracked as exact integer (sum, count) pairs, so growth
+order never depends on floating-point rounding. A queue priority is the
+rational |v*count - sum| / count with count <= N = h*w pixels; two distinct
+such rationals differ by at least 1/N^2, so scaling by S >= N^2 and
+flooring to an integer keeps their exact order and their ties.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,8 +23,6 @@ import numpy as np
 
 from .errors import EmptySeeds, IncompleteLabels, NoSeeds, PreconditionError
 from .raster import UNLABELED, GrayImage, LabelMap, _clamped_window_sums, boundary_mask, box_smooth
-
-_NEIGHBORS4 = ((-1, 0), (1, 0), (0, -1), (0, 1))
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,8 @@ class RegionParams:
     contrast_guard: float = 40.0
 
     def __post_init__(self):
-        if self.smooth_radius < 0 or self.variance_threshold < 0:
-            raise PreconditionError("smooth_radius and variance_threshold must be >= 0")
+        if self.smooth_radius < 0 or not 0 <= self.variance_threshold < math.inf:
+            raise PreconditionError("need smooth_radius >= 0 and a finite variance_threshold >= 0")
         if self.min_seed_size < 1:
             raise PreconditionError("min_seed_size must be >= 1")
         if self.min_region_size < 0 or self.contrast_guard < 0:
@@ -65,35 +65,38 @@ def _local_variance_ok(image: GrayImage, threshold: float) -> np.ndarray:
     """True where the 3x3 clamped-window population variance is <= threshold.
 
     Decided in exact integers: var = (9*S2 - S1^2) / 81, so the test is
-    9*S2 - S1^2 <= 81 * threshold.
+    9*S2 - S1^2 <= floor(81 * threshold).
     """
     v = image.pixels.astype(np.int64)
     s1 = _clamped_window_sums(v, 1)
     s2 = _clamped_window_sums(v * v, 1)
-    return (9 * s2 - s1 * s1) <= 81.0 * threshold
+    return (9 * s2 - s1 * s1) <= math.floor(81 * Fraction(threshold))
 
 
 def _connected_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
     """4-connected components of a boolean mask, labeled 0..c-1 in raster
-    order of each component's first (topmost-leftmost) pixel; -1 elsewhere."""
+    order of each component's first (topmost-leftmost) pixel; -1 elsewhere.
+
+    Union-find over 4-neighbor pairs: every root hooks to the smallest root
+    it touches and pointer jumping compresses the forest, so each component
+    ends rooted at its smallest raster index.
+    """
     h, w = mask.shape
+    index = np.arange(h * w).reshape(h, w)
+    right = mask[:, :-1] & mask[:, 1:]
+    down = mask[:-1, :] & mask[1:, :]
+    a = np.concatenate((index[:, :-1][right], index[:-1, :][down]))
+    b = np.concatenate((index[:, 1:][right], index[1:, :][down]))
+    parent = index.ravel()
+    while (differ := parent[a] != parent[b]).any():
+        ra, rb = parent[a[differ]], parent[b[differ]]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not np.array_equal(grand := parent[parent], parent):
+            parent = grand
+    roots, comp = np.unique(parent[mask.ravel()], return_inverse=True)
     labels = np.full((h, w), UNLABELED, dtype=np.int32)
-    count = 0
-    for y in range(h):
-        for x in range(w):
-            if not mask[y, x] or labels[y, x] != UNLABELED:
-                continue
-            queue = deque([(y, x)])
-            labels[y, x] = count
-            while queue:
-                cy, cx = queue.popleft()
-                for dy, dx in _NEIGHBORS4:
-                    ny, nx = cy + dy, cx + dx
-                    if 0 <= ny < h and 0 <= nx < w and mask[ny, nx] and labels[ny, nx] == UNLABELED:
-                        labels[ny, nx] = count
-                        queue.append((ny, nx))
-            count += 1
-    return labels, count
+    labels[mask] = comp
+    return labels, int(roots.size)
 
 
 def select_seeds(image: GrayImage, params: RegionParams) -> LabelMap:
@@ -116,10 +119,9 @@ def select_seeds(image: GrayImage, params: RegionParams) -> LabelMap:
         raise NoSeeds(
             f"no eligible component reaches min_seed_size={params.min_seed_size}"
         )
-    remap = np.full(count, UNLABELED, dtype=np.int32)
+    remap = np.full(count + 1, UNLABELED, dtype=np.int32)  # comp -1 reads the last entry
     remap[keep] = np.arange(keep.size, dtype=np.int32)
-    labels = np.where(comp >= 0, remap[np.clip(comp, 0, None)], UNLABELED).astype(np.int32)
-    return LabelMap(labels=labels, k=int(keep.size), complete=False)
+    return LabelMap(labels=remap[comp], k=int(keep.size), complete=False)
 
 
 def grow_regions(image: GrayImage, seeds: LabelMap) -> LabelMap:
@@ -131,48 +133,41 @@ def grow_regions(image: GrayImage, seeds: LabelMap) -> LabelMap:
     assigns it, folds it into the region's mean, and enqueues its
     unlabeled 4-neighbors.
     """
-    if seeds.k < 1 or (seeds.labels >= 0).sum() == 0:
+    seeded = seeds.labels >= 0
+    if seeds.k < 1 or not seeded.any():
         raise EmptySeeds("need at least one seed region")
-    h, w = seeds.labels.shape
-    pix = image.pixels
-    if (h, w) != (pix.shape[0], pix.shape[1]):
+    if seeds.labels.shape != image.pixels.shape:
         raise PreconditionError("seed map and image dimensions differ")
-    labels = seeds.labels.copy()
-    sums = np.bincount(
-        labels[labels >= 0], weights=pix[labels >= 0].astype(np.float64), minlength=seeds.k
-    ).astype(np.int64)
-    counts = np.bincount(labels[labels >= 0], minlength=seeds.k).astype(np.int64)
+    h, w = seeds.labels.shape
+    region_of = seeds.labels[seeded]
+    sums = np.bincount(region_of, image.pixels[seeded], seeds.k).astype(np.int64).tolist()
+    counts = np.bincount(region_of, minlength=seeds.k).tolist()
+    # a border of pixels labeled k never enters the queue, so neighbors need
+    # no bounds checks; padded raster indices keep the unpadded order
+    labels = np.pad(seeds.labels, 1, constant_values=seeds.k).ravel().tolist()
+    values = np.pad(image.pixels, 1).ravel().tolist()
+    scale = 4 ** (h * w).bit_length()  # >= (h*w)^2: see the module docstring
+    heap: list[tuple[int, int, int]] = []
 
-    heap: list[tuple[Fraction, int, int]] = []
+    def push_neighbors(p: int, region: int):
+        count, total = counts[region], sums[region]
+        for q in (p - w - 2, p + w + 2, p - 1, p + 1):
+            if labels[q] == UNLABELED:
+                heapq.heappush(heap, (abs(values[q] * count - total) * scale // count, q, region))
 
-    def push_candidate(y: int, x: int, region: int):
-        value = int(pix[y, x])
-        # |value - sum/count| as an exact rational
-        prio = Fraction(abs(value * counts[region] - sums[region]), counts[region])
-        heapq.heappush(heap, (prio, y * w + x, region))
-
-    for y in range(h):
-        for x in range(w):
-            if labels[y, x] != UNLABELED:
-                continue
-            for dy, dx in _NEIGHBORS4:
-                ny, nx = y + dy, x + dx
-                if 0 <= ny < h and 0 <= nx < w and labels[ny, nx] != UNLABELED:
-                    push_candidate(y, x, int(labels[ny, nx]))
-
+    # the same (pixel, region) candidates as scanning every unlabeled pixel
+    for p in np.flatnonzero(np.pad(seeded & boundary_mask(seeded), 1)).tolist():
+        push_neighbors(p, labels[p])
     while heap:
-        _, raster, region = heapq.heappop(heap)
-        y, x = divmod(raster, w)
-        if labels[y, x] != UNLABELED:
+        _, p, region = heapq.heappop(heap)
+        if labels[p] != UNLABELED:
             continue
-        labels[y, x] = region
-        sums[region] += int(pix[y, x])
+        labels[p] = region
+        sums[region] += values[p]
         counts[region] += 1
-        for dy, dx in _NEIGHBORS4:
-            ny, nx = y + dy, x + dx
-            if 0 <= ny < h and 0 <= nx < w and labels[ny, nx] == UNLABELED:
-                push_candidate(ny, nx, region)
-    return LabelMap(labels=labels, k=seeds.k, complete=True)
+        push_neighbors(p, region)
+    grown = np.array(labels, dtype=np.int32).reshape(h + 2, w + 2)[1:-1, 1:-1]
+    return LabelMap(labels=grown, k=seeds.k, complete=True)
 
 
 def merge_small_regions(

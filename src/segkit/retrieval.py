@@ -47,8 +47,9 @@ class ImageRecord:
         c = np.asarray(self.counts, dtype=np.int64)
         if c.ndim != 1 or c.min() < 0:
             raise PreconditionError("counts must be a 1-D nonnegative array")
-        if self.total != int(c.sum()) or self.total <= 0:
-            raise PreconditionError("total must equal the positive sum of counts")
+        # the sum in Python ints, since an int64 sum can wrap around to total
+        if self.total != sum(c.tolist()) or not 0 < self.total * c.size < 2**63:
+            raise PreconditionError("total must equal the sum of counts, in (0, 2**63 / dim)")
         if "\n" in self.description:
             raise PreconditionError("descriptions must not contain newlines")
         object.__setattr__(self, "counts", c)
@@ -85,7 +86,8 @@ def _pivot_distance(counts: np.ndarray, total: int) -> float:
     """L1 distance from counts/total to the uniform histogram, computed
     from integers and rounded once: sum |c_i * dim - total| / (total * dim)."""
     dim = counts.size
-    num = int(np.abs(counts * dim - total).sum())
+    # the terms sum to zero: |.| sums to twice the positive part, < total * dim < 2**63
+    num = 2 * int(np.maximum(counts * dim - total, 0).sum())
     return num / (total * dim)
 
 
@@ -269,7 +271,7 @@ def decode_index(text: str) -> Index:
             counts = np.array([int(c) for c in parts[2].split(",")], dtype=np.int64)
             path = unescape_field(parts[3])
             description = unescape_field(parts[4])
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise BadRecord(f"line {lineno}: {exc}") from None
         if index.feature_dim is None:
             raise BadHeader("records present but feature dimension is 0")

@@ -1,0 +1,127 @@
+"""Reference region growing: per-pixel BFS labelling and Fraction heap keys.
+
+These are the straightforward implementations that segkit.region replaced
+with union-find labelling and integer heap keys; the tests compare the two
+for byte-identical label maps.
+"""
+
+from __future__ import annotations
+
+import heapq
+from collections import deque
+from fractions import Fraction
+
+import numpy as np
+
+from segkit.errors import EmptySeeds, NoSeeds, PreconditionError
+from segkit.raster import UNLABELED, GrayImage, LabelMap, box_smooth
+from segkit.region import (
+    RegionParams,
+    SegmentationResult,
+    _local_variance_ok,
+    merge_small_regions,
+    region_stats,
+)
+
+_NEIGHBORS4 = ((-1, 0), (1, 0), (0, -1), (0, 1))
+
+
+def _connected_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
+    """4-connected components of a boolean mask, labeled 0..c-1 in raster
+    order of each component's first (topmost-leftmost) pixel; -1 elsewhere."""
+    h, w = mask.shape
+    labels = np.full((h, w), UNLABELED, dtype=np.int32)
+    count = 0
+    for y in range(h):
+        for x in range(w):
+            if not mask[y, x] or labels[y, x] != UNLABELED:
+                continue
+            queue = deque([(y, x)])
+            labels[y, x] = count
+            while queue:
+                cy, cx = queue.popleft()
+                for dy, dx in _NEIGHBORS4:
+                    ny, nx = cy + dy, cx + dx
+                    if 0 <= ny < h and 0 <= nx < w and mask[ny, nx] and labels[ny, nx] == UNLABELED:
+                        labels[ny, nx] = count
+                        queue.append((ny, nx))
+            count += 1
+    return labels, count
+
+
+def select_seeds(image: GrayImage, params: RegionParams) -> LabelMap:
+    """segkit.region.select_seeds over the BFS labelling (same eligibility test)."""
+    eligible = _local_variance_ok(image, params.variance_threshold)
+    comp, count = _connected_components(eligible)
+    if count == 0:
+        raise NoSeeds("no seed-eligible pixels")
+    sizes = np.bincount(comp[comp >= 0], minlength=count)
+    keep = np.flatnonzero(sizes >= params.min_seed_size)
+    if keep.size == 0:
+        raise NoSeeds(
+            f"no eligible component reaches min_seed_size={params.min_seed_size}"
+        )
+    remap = np.full(count, UNLABELED, dtype=np.int32)
+    remap[keep] = np.arange(keep.size, dtype=np.int32)
+    labels = np.where(comp >= 0, remap[np.clip(comp, 0, None)], UNLABELED).astype(np.int32)
+    return LabelMap(labels=labels, k=int(keep.size), complete=False)
+
+
+def grow_regions(image: GrayImage, seeds: LabelMap) -> LabelMap:
+    """segkit.region.grow_regions with Fraction keys and a whole-image seeding scan."""
+    if seeds.k < 1 or (seeds.labels >= 0).sum() == 0:
+        raise EmptySeeds("need at least one seed region")
+    h, w = seeds.labels.shape
+    pix = image.pixels
+    if (h, w) != (pix.shape[0], pix.shape[1]):
+        raise PreconditionError("seed map and image dimensions differ")
+    labels = seeds.labels.copy()
+    sums = np.bincount(
+        labels[labels >= 0], weights=pix[labels >= 0].astype(np.float64), minlength=seeds.k
+    ).astype(np.int64)
+    counts = np.bincount(labels[labels >= 0], minlength=seeds.k).astype(np.int64)
+
+    heap: list[tuple[Fraction, int, int]] = []
+
+    def push_candidate(y: int, x: int, region: int):
+        value = int(pix[y, x])
+        # |value - sum/count| as an exact rational
+        prio = Fraction(abs(value * counts[region] - sums[region]), counts[region])
+        heapq.heappush(heap, (prio, y * w + x, region))
+
+    for y in range(h):
+        for x in range(w):
+            if labels[y, x] != UNLABELED:
+                continue
+            for dy, dx in _NEIGHBORS4:
+                ny, nx = y + dy, x + dx
+                if 0 <= ny < h and 0 <= nx < w and labels[ny, nx] != UNLABELED:
+                    push_candidate(y, x, int(labels[ny, nx]))
+
+    while heap:
+        _, raster, region = heapq.heappop(heap)
+        y, x = divmod(raster, w)
+        if labels[y, x] != UNLABELED:
+            continue
+        labels[y, x] = region
+        sums[region] += int(pix[y, x])
+        counts[region] += 1
+        for dy, dx in _NEIGHBORS4:
+            ny, nx = y + dy, x + dx
+            if 0 <= ny < h and 0 <= nx < w and labels[ny, nx] == UNLABELED:
+                push_candidate(ny, nx, region)
+    return LabelMap(labels=labels, k=seeds.k, complete=True)
+
+
+def primary_segment(image: GrayImage, params: RegionParams = RegionParams()) -> SegmentationResult:
+    """segkit.region.primary_segment over the reference seeding and growing."""
+    smoothed = box_smooth(image, params.smooth_radius)
+    seeds = select_seeds(smoothed, params)
+    grown = grow_regions(smoothed, seeds)
+    merged = merge_small_regions(grown, smoothed, params)
+    return SegmentationResult(
+        labels=merged,
+        stats=region_stats(merged, image),
+        seed_count=seeds.k,
+        merged=grown.k - merged.k,
+    )

@@ -46,6 +46,13 @@ class TestUsageErrors:
         code, _, _ = invoke(["segment", "--method", "kmeans", str(half_image_file), str(out)])
         assert code == 1 and not out.exists()
 
+    def test_exemplar_label_not_decimal(self, tmp_path, half_image_file):
+        # "²".isdigit() holds, but int() rejects it
+        out = tmp_path / "o.pgm"
+        code, _, err = invoke(["segment", "--method", "windows", "--exemplar",
+                               f"\u00b2:{half_image_file}", str(half_image_file), str(out)])
+        assert code == 1 and err and not out.exists()
+
 
 class TestThresholdCommand:
     def test_otsu_on_half_fixture(self, tmp_path, half_image_file):
@@ -235,6 +242,25 @@ class TestIngestAndQuery:
         assert code == 2
         assert idx.read_text() == "garbage\n"  # failed ingest leaves file alone
 
+    @pytest.mark.parametrize("mode", ["ingest", "query", "query-exhaustive"])
+    @pytest.mark.parametrize("text", [
+        pytest.param(b"SEGIDX\t1\t256\n\xff\n", id="not-utf8"),
+        # int64 pivot arithmetic would wrap: query found id 1 at 0.5, the scan id 0 at 1.0
+        pytest.param(("SEGIDX\t1\t256\n0\t" + str(2**60) + "\t" + ",".join([str(2**60)] + ["0"] * 255)
+                      + "\tp\td\n1\t2\t" + ",".join(["1", "1"] + ["0"] * 254) + "\tq\te\n").encode(),
+                     id="total-times-dim-2**68"),
+    ])
+    def test_unreadable_index_exits_2(self, tmp_path, text, mode):
+        idx = tmp_path / "idx.tsv"
+        idx.write_bytes(text)
+        img = tmp_path / "zero.pgm"
+        write_pgm(img, np.zeros((4, 4)))
+        argv = {"ingest": ["ingest", "--desc", "x"], "query": ["query", "--top", "1"],
+                "query-exhaustive": ["query", "--top", "1", "--exhaustive"]}[mode]
+        code, stdout, err = invoke(argv + ["--index", str(idx), str(img)])
+        assert code == 2 and err and not stdout
+        assert idx.read_bytes() == text
+
     def test_description_with_tab_round_trips_escaped(self, tmp_path):
         idx = tmp_path / "idx.tsv"
         img = tmp_path / "i.pgm"
@@ -281,6 +307,12 @@ class TestPredictCommand:
         rules.write_text("RULE broken\n")
         code, _, _ = invoke(["predict", "--rules", str(rules), str(half_image_file)])
         assert code == 2
+
+    def test_non_utf8_rules_file_exits_2(self, tmp_path, half_image_file):
+        rules = tmp_path / "rules.txt"
+        rules.write_bytes(b"RULE x : mean IN (0,0,255,255) \xff\n")
+        code, stdout, err = invoke(["predict", "--rules", str(rules), str(half_image_file)])
+        assert code == 2 and err and not stdout
 
     def test_kmeans_segment_method(self, tmp_path, half_image_file):
         rules = tmp_path / "rules.txt"
@@ -347,6 +379,10 @@ class TestParameterErrors:
                      id="predict-k"),
         pytest.param(["predict", "--rules", "{rules}", "--segment-method", "edge", "--beta", "-1"],
                      id="predict-beta"),
+        pytest.param(["segment", "--method", "region", "--variance-threshold", "inf"],
+                     id="variance-threshold-inf"),
+        pytest.param(["predict", "--rules", "{rules}", "--variance-threshold", "nan"],
+                     id="predict-variance-threshold-nan"),
         pytest.param(["ingest", "--index", "{out}", "--desc", "two\nlines"], id="desc-newline"),
         pytest.param(["ingest", "--index", "{out}", "--desc", "bad \udcff byte"], id="desc-not-utf8"),
     ])

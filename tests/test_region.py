@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from segkit.errors import EmptySeeds, IncompleteLabels, NoSeeds
+from segkit.errors import EmptySeeds, IncompleteLabels, NoSeeds, PreconditionError
 from segkit.raster import UNLABELED, GrayImage, LabelMap
 from segkit.region import (
     RegionParams,
@@ -69,6 +71,22 @@ class TestSelectSeeds:
         assert seeds.labels[0, 8] == 1
 
 
+    def test_variance_threshold_is_exact(self):
+        # the centre window holds three 1s and six 0s: variance exactly 2/9,
+        # just above the double 2/9 rounds to
+        img = gray([[1, 1, 1], [0, 0, 0], [0, 0, 0]])
+        seeds = select_seeds(img, RegionParams(variance_threshold=2 / 9, min_seed_size=1))
+        assert seeds.labels[1, 1] == UNLABELED
+        assert (seeds.labels[2] == 0).all()
+        seeds = select_seeds(img, RegionParams(variance_threshold=0.23, min_seed_size=1))
+        assert (seeds.labels == 0).all()
+
+    @pytest.mark.parametrize("threshold", [math.inf, math.nan])
+    def test_non_finite_variance_threshold_rejected(self, threshold):
+        with pytest.raises(PreconditionError):
+            RegionParams(variance_threshold=threshold)
+
+
 class TestGrowRegions:
     def test_already_complete_is_identity(self):
         labels = LabelMap(np.zeros((3, 3), dtype=np.int32), k=1, complete=False)
@@ -98,6 +116,18 @@ class TestGrowRegions:
         grown = grow_regions(img, seeds)
         mask = seeds.labels != UNLABELED
         assert np.array_equal(grown.labels[mask], seeds.labels[mask])
+
+    def test_priorities_order_close_rationals(self):
+        # pixel 11 scores 1/11 against region 0 and pixel 12 scores 1/12
+        # against region 1; pixel 12 goes first although its index is higher,
+        # and pulls region 1's mean to 1/13, so pixel 11 follows it
+        pix = np.zeros((1, 25), dtype=np.uint8)
+        pix[0, [0, 24]] = 1
+        lab = np.full((1, 25), UNLABELED, dtype=np.int32)
+        lab[0, :11] = 0
+        lab[0, 13:] = 1
+        grown = grow_regions(GrayImage(pix), LabelMap(lab, k=2, complete=False))
+        assert (grown.labels[0, 11:] == 1).all()
 
     def test_empty_seeds_rejected(self):
         lab = np.full((2, 2), UNLABELED, dtype=np.int32)

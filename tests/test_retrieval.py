@@ -104,6 +104,12 @@ class TestIngest:
         ingest(idx, img, "x", "x.pgm")
         assert 0.0 <= idx.records[0].pivot_distance <= 2.0
 
+    def test_pivot_distance_exact_for_largest_total(self):
+        # total * dim just below 2**63: the absolute terms sum to ~2**64
+        total = (2**63 - 1) // 256
+        rec = record_from_counts(0, [total] + [0] * 255)
+        assert rec.pivot_distance == 255 / 128
+
 
 class TestSearchExhaustive:
     def test_exact_match_ranks_first(self):
@@ -221,6 +227,16 @@ class TestIndexCodec:
 
     def test_bad_record_reports_line(self):
         text = "SEGIDX\t1\t64\n0\t5\t" + ",".join(["0"] * 63) + "\tp\td\n"
+        with pytest.raises(BadRecord, match="line 2"):
+            decode_index(text)
+
+    @pytest.mark.parametrize("total,counts", [
+        pytest.param(2**60, [2**60] + [0] * 255, id="total-times-dim-2**68"),
+        pytest.param(2**63, [2**63] + [0] * 255, id="count-2**63"),
+        pytest.param(1, [2**63 - 1, 2**63 - 1, 3] + [0] * 253, id="int64-sum-wraps-to-total"),
+    ])
+    def test_out_of_range_counts_rejected(self, total, counts):
+        text = f"SEGIDX\t1\t256\n0\t{total}\t{','.join(map(str, counts))}\tp\td\n"
         with pytest.raises(BadRecord, match="line 2"):
             decode_index(text)
 
