@@ -38,7 +38,7 @@ class RegionParams:
             raise PreconditionError("need smooth_radius >= 0 and a finite variance_threshold >= 0")
         if self.min_seed_size < 1:
             raise PreconditionError("min_seed_size must be >= 1")
-        if self.min_region_size < 0 or self.contrast_guard < 0:
+        if self.min_region_size < 0 or not self.contrast_guard >= 0:
             raise PreconditionError("min_region_size and contrast_guard must be >= 0")
 
 

@@ -15,6 +15,7 @@ read-only, ingest needs exclusive access.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,17 +45,26 @@ class ImageRecord:
     total: int
 
     def __post_init__(self):
-        c = np.asarray(self.counts, dtype=np.int64)
-        if c.ndim != 1 or c.min() < 0:
-            raise PreconditionError("counts must be a 1-D nonnegative array")
-        # the sum in Python ints, since an int64 sum can wrap around to total
-        if self.total != sum(c.tolist()) or not 0 < self.total * c.size < 2**63:
-            raise PreconditionError("total must equal the sum of counts, in (0, 2**63 / dim)")
-        if "\n" in self.description:
-            raise PreconditionError("descriptions must not contain newlines")
+        try:
+            c = np.asarray(self.counts, dtype=np.int64)
+        except OverflowError:
+            raise PreconditionError("counts must fit in int64") from None
+        if c.ndim != 1:
+            raise PreconditionError(_NONNEGATIVE)
+        fault = _record_fault(c[None], [self.total], [self.description])
+        if fault is not None:
+            raise PreconditionError(fault[1])
         object.__setattr__(self, "counts", c)
         object.__setattr__(self, "_bins", c / self.total)
-        object.__setattr__(self, "pivot_distance", _pivot_distance(c, self.total))
+        object.__setattr__(self, "pivot_distance", _pivot_distances(c[None], [self.total])[0])
+
+    @classmethod
+    def _checked(cls, bins: np.ndarray, pivot_distance: float, **fields) -> ImageRecord:
+        """A record from fields that already passed _record_fault, with the
+        values __post_init__ would derive from them; nothing is checked again."""
+        rec = object.__new__(cls)
+        rec.__dict__.update(fields, _bins=bins, pivot_distance=pivot_distance)
+        return rec
 
     @property
     def feature(self) -> FeatureVector:
@@ -82,13 +92,41 @@ class RankedResult:
     description: str
 
 
-def _pivot_distance(counts: np.ndarray, total: int) -> float:
-    """L1 distance from counts/total to the uniform histogram, computed
-    from integers and rounded once: sum |c_i * dim - total| / (total * dim)."""
-    dim = counts.size
-    # the terms sum to zero: |.| sums to twice the positive part, < total * dim < 2**63
-    num = 2 * int(np.maximum(counts * dim - total, 0).sum())
-    return num / (total * dim)
+_NONNEGATIVE = "counts must be a 1-D nonnegative array"
+
+
+def _record_fault(
+    counts: np.ndarray, totals: Sequence[int], descriptions: Sequence[str]
+) -> tuple[int, str] | None:
+    """The first row of an (n, dim) int64 count matrix whose record breaks
+    an ImageRecord invariant, with the reason; None when every row holds."""
+    dim = counts.shape[1]
+    lows = counts.min(axis=1, initial=0).tolist()
+    highs = counts.max(axis=1, initial=0).tolist()
+    sums = counts.sum(axis=1).tolist()
+    for row, (low, high, s, t, desc) in enumerate(zip(lows, highs, sums, totals, descriptions)):
+        if low < 0:
+            return row, _NONNEGATIVE
+        # no wrap-around: nonnegative counts no larger than total < 2**63 / dim
+        # have an int64 sum below 2**63
+        if not (0 < t * dim < 2**63 and high <= t and s == t):
+            return row, "total must equal the sum of counts, in (0, 2**63 / dim)"
+        if "\n" in desc:
+            return row, "descriptions must not contain newlines"
+    return None
+
+
+def _pivot_distances(counts: np.ndarray, totals: Sequence[int]) -> list[float]:
+    """L1 distance from counts/total to the uniform histogram for each row
+    of checked records, computed from integers and rounded once:
+    sum |c_i * dim - total| / (total * dim)."""
+    dim = counts.shape[1]
+    excess = counts * dim
+    excess -= np.array(totals, dtype=np.int64)[:, None]
+    # a row's terms sum to zero: |.| sums to twice the positive part, < total * dim < 2**63
+    halves = np.maximum(excess, 0, out=excess).sum(axis=1).tolist()
+    # in Python ints, and int / int rounds the exact quotient once
+    return [2 * half / (total * dim) for half, total in zip(halves, totals)]
 
 
 def similarity(a: FeatureVector, b: FeatureVector) -> float:
@@ -200,6 +238,8 @@ def escape_field(text: str) -> str:
 
 
 def unescape_field(text: str) -> str:
+    if "\\" not in text:
+        return text
     out = []
     i = 0
     while i < len(text):
@@ -234,16 +274,61 @@ def encode_index(index: Index) -> str:
     dim = index.feature_dim if index.feature_dim is not None else 0
     lines = [f"{_HEADER_TAG}\t{index.version}\t{dim}"]
     for rec in index.records:
-        counts = ",".join(str(int(c)) for c in rec.counts)
+        counts = ",".join(map(str, rec.counts.tolist()))
         lines.append(
             f"{rec.id}\t{rec.total}\t{counts}\t{escape_field(rec.path)}\t{escape_field(rec.description)}"
         )
     return "\n".join(lines) + "\n"
 
 
+# encode_index writes every count below 2**63 / 64 < 10**18
+_MAX_DIGITS = 18
+
+
+def _find(mask: np.ndarray) -> int:
+    """Index of the first True in mask, or -1 as str.find has it."""
+    return int(mask.argmax()) if mask.any() else -1
+
+
+def _count_grammar_fault(fields: Sequence[str]) -> tuple[int, str] | None:
+    """The first count field that breaks the form encode_index writes,
+    counts of 1 to _MAX_DIGITS ASCII digits joined by commas, with the
+    reason; None when every field conforms."""
+    # every field between two commas
+    text = ",".join(["", *fields, ""])
+    # one byte per character: a non-ASCII character becomes "?", a stray byte
+    buf = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
+    comma = buf == ord(",")
+    stray = buf - np.uint8(ord("0")) > 9  # bytes below "0" wrap around
+    stray &= ~comma
+    # runs of _MAX_DIGITS + 1 non-commas: run[i] covers buf[i : i + width]
+    run, width = ~comma, 1
+    while width <= _MAX_DIGITS:
+        step = min(width, _MAX_DIGITS + 1 - width)
+        run = run[:-step] & run[step:]
+        width += step
+    # the first byte of each defect: a stray byte, the first of too many
+    # digits, or the comma before an empty count
+    hits = [pos for pos in (_find(stray), _find(run), text.find(",,")) if pos >= 0]
+    if not hits:
+        return None
+    pos = min(hits)
+    # the comma after field r is at ends[r]
+    ends = np.cumsum([len(f) + 1 for f in fields])
+    row = int(np.searchsorted(ends, pos, side="right"))
+    begin = text.rfind(",", 0, pos + 1) + 1
+    count = text[begin : text.find(",", begin)]
+    return row, f"count {count!r} is not 1 to {_MAX_DIGITS} ASCII digits"
+
+
 def decode_index(text: str) -> Index:
     """Parse encode_index output; raises BadHeader or BadRecord (with the
-    offending line number)."""
+    offending line number).
+
+    Counts must be spelled as encode_index writes them: 1 to 18 ASCII
+    digits each, comma-separated, feature_dim of them per record. They are
+    parsed and checked for all records at once.
+    """
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -261,31 +346,67 @@ def decode_index(text: str) -> Index:
     if dim not in (0, 64, 256):
         raise BadHeader(f"unsupported feature dimension {dim}")
     index = Index(feature_dim=None if dim == 0 else dim)
-    for lineno, line in enumerate(lines[1:], start=2):
+
+    # (row, reason) of the first failing row of each check. A check only
+    # looks at the rows before the faults found so far, so the smallest row
+    # is the first line that fails any check, as a line-by-line parse finds it
+    faults: list[tuple[int, str]] = []
+    fields = []
+    for row, line in enumerate(lines[1:]):
         parts = line.split("\t")
         if len(parts) != 5:
-            raise BadRecord(f"line {lineno}: expected 5 fields, got {len(parts)}")
+            faults.append((row, f"expected 5 fields, got {len(parts)}"))
+            break
         try:
-            rec_id = int(parts[0])
-            total = int(parts[1])
-            counts = np.array([int(c) for c in parts[2].split(",")], dtype=np.int64)
-            path = unescape_field(parts[3])
-            description = unescape_field(parts[4])
-        except (ValueError, OverflowError) as exc:
-            raise BadRecord(f"line {lineno}: {exc}") from None
-        if index.feature_dim is None:
-            raise BadHeader("records present but feature dimension is 0")
-        if rec_id != len(index.records):
-            raise BadRecord(f"line {lineno}: expected id {len(index.records)}, got {rec_id}")
-        if counts.size != index.feature_dim:
-            raise BadRecord(
-                f"line {lineno}: {counts.size} counts, expected {index.feature_dim}"
-            )
-        try:
-            rec = ImageRecord(
-                id=rec_id, path=path, description=description, counts=counts, total=total
+            fields.append(
+                (int(parts[0]), int(parts[1]), parts[2],
+                 unescape_field(parts[3]), unescape_field(parts[4]))
             )
         except ValueError as exc:
-            raise BadRecord(f"line {lineno}: {exc}") from None
-        index.records.append(rec)
+            faults.append((row, str(exc)))
+            break
+    ids, totals, count_fields, paths, descriptions = list(zip(*fields)) or [()] * 5
+    if fields:
+        grammar_fault = _count_grammar_fault(count_fields)
+        if grammar_fault is not None:
+            faults.append(grammar_fault)
+
+    def clean_rows() -> int:
+        return min((row for row, _ in faults), default=len(fields))
+
+    if dim == 0 and len(lines) > 1:
+        # the dimension is checked once the first record has parsed
+        if clean_rows() > 0:
+            raise BadHeader("records present but feature dimension is 0")
+    else:
+        for row in range(clean_rows()):
+            if ids[row] != row:
+                faults.append((row, f"expected id {row}, got {ids[row]}"))
+                break
+            commas = count_fields[row].count(",")
+            if commas != dim - 1:
+                faults.append((row, f"{commas + 1} counts, expected {dim}"))
+                break
+        # every clean row holds dim counts of 1 to _MAX_DIGITS digits
+        clean = clean_rows()
+        if clean:
+            counts = np.fromstring(
+                ",".join(count_fields[:clean]), dtype=np.int64, count=clean * dim, sep=","
+            ).reshape(clean, dim)
+            record_fault = _record_fault(counts, totals[:clean], descriptions[:clean])
+            if record_fault is not None:
+                faults.append(record_fault)
+    if faults:
+        row, reason = min(faults, key=lambda fault: fault[0])
+        raise BadRecord(f"line {row + 2}: {reason}")
+    if fields:
+        pivots = _pivot_distances(counts, totals)
+        bins = counts / np.array(totals)[:, None]
+        index.records = [
+            ImageRecord._checked(
+                bins[i], pivots[i], id=i, path=paths[i], description=descriptions[i],
+                counts=counts[i], total=totals[i],
+            )
+            for i in range(len(fields))
+        ]
     return index

@@ -383,6 +383,8 @@ class TestParameterErrors:
                      id="variance-threshold-inf"),
         pytest.param(["predict", "--rules", "{rules}", "--variance-threshold", "nan"],
                      id="predict-variance-threshold-nan"),
+        pytest.param(["segment", "--method", "region", "--contrast-guard", "nan"],
+                     id="contrast-guard-nan"),
         pytest.param(["ingest", "--index", "{out}", "--desc", "two\nlines"], id="desc-newline"),
         pytest.param(["ingest", "--index", "{out}", "--desc", "bad \udcff byte"], id="desc-not-utf8"),
     ])

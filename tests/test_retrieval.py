@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from segkit.clustering import Lcg
-from segkit.errors import BadHeader, BadRecord, DimensionMismatch, EmptyIndex
+from segkit.errors import BadHeader, BadRecord, DimensionMismatch, EmptyIndex, PreconditionError
 from segkit.features import FeatureVector
 from segkit.raster import GrayImage, RgbImage
 from segkit.retrieval import (
@@ -109,6 +109,24 @@ class TestIngest:
         total = (2**63 - 1) // 256
         rec = record_from_counts(0, [total] + [0] * 255)
         assert rec.pivot_distance == 255 / 128
+
+    def test_pivot_distance_rounds_once(self):
+        # both bins above 1/64: the distance is exactly 2 * 62 / 64, while
+        # dividing the two integers rounded to doubles gives 1.9375000000000002
+        total = 26001075975500860
+        rec = record_from_counts(0, [17420695786424692, total - 17420695786424692] + [0] * 62)
+        assert rec.pivot_distance == 1.9375
+
+
+class TestImageRecord:
+    @pytest.mark.parametrize("count", [2**63, -(2**63) - 1])
+    def test_count_beyond_int64_rejected(self, count):
+        with pytest.raises(PreconditionError):
+            ImageRecord(id=0, path="p", description="d", counts=[count, 0], total=count)
+
+    def test_int64_sum_wrapping_to_total_rejected(self):
+        with pytest.raises(PreconditionError):
+            ImageRecord(id=0, path="p", description="d", counts=[2**62] * 3 + [2**62 + 1], total=1)
 
 
 class TestSearchExhaustive:
@@ -234,11 +252,25 @@ class TestIndexCodec:
         pytest.param(2**60, [2**60] + [0] * 255, id="total-times-dim-2**68"),
         pytest.param(2**63, [2**63] + [0] * 255, id="count-2**63"),
         pytest.param(1, [2**63 - 1, 2**63 - 1, 3] + [0] * 253, id="int64-sum-wraps-to-total"),
+        pytest.param(5, [10**18 - 1] * 18 + [2**64 + 5 - 18 * (10**18 - 1)] + [0] * 237,
+                     id="18-digit-counts-sum-wraps-to-total"),
     ])
     def test_out_of_range_counts_rejected(self, total, counts):
         text = f"SEGIDX\t1\t256\n0\t{total}\t{','.join(map(str, counts))}\tp\td\n"
         with pytest.raises(BadRecord, match="line 2"):
             decode_index(text)
+
+    @pytest.mark.parametrize("count", ["+5", " 5", "5 ", "1_0", "\u0665", "0" * 18 + "5", ""])
+    def test_non_canonical_counts_rejected(self, count):
+        valid = ",".join(["5"] + ["0"] * 63)
+        text = f"SEGIDX\t1\t64\n0\t5\t{valid}\tp\td\n1\t5\t{count},{valid[2:]}\tp\td\n"
+        with pytest.raises(BadRecord, match="line 3"):
+            decode_index(text)
+
+    def test_zero_padded_counts_up_to_18_digits_accepted(self):
+        counts = ",".join(["0" * 17 + "5"] + ["0" * 18] * 63)
+        again = decode_index(f"SEGIDX\t1\t64\n0\t5\t{counts}\tp\td\n")
+        assert again.records[0].counts.tolist() == [5] + [0] * 63
 
     def test_non_dense_ids_rejected(self):
         counts = ",".join(["1"] + ["0"] * 63)
