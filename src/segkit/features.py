@@ -5,6 +5,16 @@ each pixel (window coordinates clamp at the borders, so every histogram
 holds exactly window^2 samples). Window classification labels each pixel
 by the nearest exemplar histogram under L1 distance; boundary refinement
 iterates that idea against per-class mean histograms.
+
+No per-pixel histogram is stored for the whole image. Window counts are
+gathered from the edge-padded raster for one block of pixels at a time,
+sized by _BLOCK_ELEMENTS, and the block is classified at once: time is
+O(HW * (window^2 + 256 * centers)) and memory beyond the padded image and
+the label map stays bounded. A class's summed window histogram is an exact
+int64 box sum: intensity v of padded pixel q counts once for each class
+member whose window holds q, and that number is a window x window box
+count of the class mask, taken from cumulative sums. Refinement then
+gathers window counts only for boundary pixels.
 """
 
 from __future__ import annotations
@@ -14,7 +24,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IncompleteLabels, NoExemplars, PreconditionError
-from .raster import GrayImage, LabelMap, RgbImage, boundary_mask, require_odd_window
+from .raster import (
+    GrayImage,
+    LabelMap,
+    RgbImage,
+    boundary_mask,
+    label_bounds,
+    require_odd_window,
+    require_same_shape,
+)
 
 GRAY_DIM = 256
 COLOR_DIM = 64
@@ -22,6 +40,10 @@ COLOR_DIM = 64
 DEFAULT_WINDOW = 9
 
 _NORMALIZATION_TOL = 1e-9
+
+# Entries per temporary array of one block of window counts or distances
+# (1 MB at 8 bytes each), so memory does not grow with the image.
+_BLOCK_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -60,30 +82,68 @@ class Exemplar:
             raise PreconditionError("exemplar feature must be normalized")
 
 
-def _window_counts(image: GrayImage, window: int) -> np.ndarray:
-    """Per-pixel intensity counts of the clamped window, shape (h, w, 256).
+def _local_counts(padded: np.ndarray, window: int, pixels: np.ndarray) -> np.ndarray:
+    """(len(pixels), 256) int64 intensity counts of the clamped windows of
+    the given flat pixel indices, read from the image padded by window // 2."""
+    pw = padded.shape[1]
+    ys, xs = np.divmod(pixels, pw - window + 1)
+    offsets = (np.arange(window, dtype=np.int64)[:, None] * pw + np.arange(window)).ravel()
+    rows = np.arange(pixels.size, dtype=np.int64)[:, None] * GRAY_DIM
+    keys = padded.ravel()[(ys * pw + xs)[:, None] + offsets] + rows
+    return np.bincount(keys.ravel(), minlength=pixels.size * GRAY_DIM).reshape(-1, GRAY_DIM)
 
-    Stored in the smallest unsigned type that holds window^2, the largest
-    possible count (uint8 up to window 15).
-    """
-    require_odd_window(window)
-    h, w = image.pixels.shape
-    r = window // 2
-    padded = np.pad(image.pixels, r, mode="edge")
-    out = np.empty((h, w, GRAY_DIM), dtype=np.min_scalar_type(window * window))
-    chunk = max(1, (1 << 21) // (w * GRAY_DIM))  # rows per pass, ~16 MB counts
-    for y0 in range(0, h, chunk):
-        rows = min(chunk, h - y0)
-        n = rows * w
-        base = np.arange(n, dtype=np.int64) * GRAY_DIM
-        pieces = []
-        for dy in range(window):
-            for dx in range(window):
-                vals = padded[y0 + dy : y0 + dy + rows, dx : dx + w]
-                pieces.append(base + vals.ravel())
-        counts = np.bincount(np.concatenate(pieces), minlength=n * GRAY_DIM)
-        out[y0 : y0 + rows] = counts.reshape(rows, w, GRAY_DIM)
+
+def _block_pixels(window: int, centers: int) -> int:
+    """Pixels per block: as many as keep each temporary of a block (window
+    samples, counts, distances to the centers) within _BLOCK_ELEMENTS
+    entries, and at least one."""
+    return max(1, _BLOCK_ELEMENTS // max(window * window, centers * GRAY_DIM))
+
+
+def _nearest(counts: np.ndarray, area: int, centers: np.ndarray) -> np.ndarray:
+    """Index of the L1-nearest center to each row of counts / area; ties go
+    to the lowest index."""
+    diffs = (counts / area)[:, None, :] - centers[None, :, :]
+    return np.argmin(np.abs(diffs, out=diffs).sum(axis=2), axis=1)
+
+
+def _full_box_counts(mask: np.ndarray, window: int) -> np.ndarray:
+    """(h + window - 1, w + window - 1) int64 counts: entry (i, j) counts the
+    True entries of mask in rows i - window + 1 .. i and columns
+    j - window + 1 .. j, that is the pixels whose window covers (i, j) of
+    the raster padded by window // 2."""
+    out = mask
+    for axis in (0, 1):
+        n = out.shape[axis]
+        run = np.insert(np.cumsum(out, axis=axis, dtype=np.int64), 0, 0, axis=axis)
+        ends = np.arange(1, n + window)
+        out = np.take(run, np.minimum(ends, n), axis=axis) - np.take(
+            run, np.maximum(ends - window, 0), axis=axis
+        )
     return out
+
+
+def _class_sums(
+    lab: np.ndarray, padded: np.ndarray, window: int, classes: np.ndarray
+) -> np.ndarray:
+    """Exact (len(classes), 256) int64 sums of the window counts of each
+    class's pixels.
+
+    The sum over class c is sum_q [padded[q] == v] * cover_c[q], where
+    cover_c[q] counts the class-c pixels whose window holds padded pixel q;
+    cover_c is nonzero only on the class's bounding box grown by window - 1.
+    """
+    x0, y0, x1, y1 = label_bounds(lab, int(classes[-1]) + 1)
+    sums = np.empty((classes.size, GRAY_DIM), dtype=np.int64)
+    for i, c in enumerate(classes.tolist()):
+        cover = _full_box_counts(lab[y0[c] : y1[c] + 1, x0[c] : x1[c] + 1] == c, window)
+        vals = padded[y0[c] : y1[c] + window, x0[c] : x1[c] + window].ravel()
+        # per-intensity totals of cover, in int64: a running sum in intensity
+        # order (a stable sort of 8-bit keys is a radix sort)
+        running = np.cumsum(cover.ravel()[np.argsort(vals, kind="stable")])
+        ends = np.cumsum(np.bincount(vals, minlength=GRAY_DIM))
+        sums[i] = np.diff(np.concatenate(([0], running))[np.concatenate(([0], ends))])
+    return sums
 
 
 def local_histogram(image: GrayImage, x: int, y: int, window: int) -> FeatureVector:
@@ -116,16 +176,17 @@ def classify_windows(
     feats = np.stack([exemplars[i].feature.bins for i in order])
     labels_of = np.array([exemplars[i].label for i in order], dtype=np.int32)
 
-    counts = _window_counts(image, window)
+    require_odd_window(window)
+    padded = np.pad(image.pixels, window // 2, mode="edge")
     area = window * window
-    h, w = image.pixels.shape
-    out = np.empty((h, w), dtype=np.int32)
-    for y in range(h):
-        hists = counts[y].astype(np.float64) / area  # (w, 256)
-        dists = np.abs(hists[:, None, :] - feats[None, :, :]).sum(axis=2)
-        out[y] = labels_of[np.argmin(dists, axis=1)]
+    n = image.pixels.size
+    step = _block_pixels(window, len(feats))
+    out = np.empty(n, dtype=np.int32)
+    for start in range(0, n, step):
+        counts = _local_counts(padded, window, np.arange(start, min(start + step, n)))
+        out[start : start + step] = labels_of[_nearest(counts, area, feats)]
     k = int(labels_of.max()) + 1
-    return LabelMap(labels=out, k=k, complete=True)
+    return LabelMap(labels=out.reshape(image.pixels.shape), k=k, complete=True)
 
 
 def refine_boundaries(
@@ -141,39 +202,36 @@ def refine_boundaries(
     """
     if not labels.complete:
         raise IncompleteLabels("refine_boundaries needs a complete label map")
+    require_same_shape(labels, image)
     if iterations < 0:
         raise PreconditionError("iterations must be >= 0")
     lab = labels.labels.copy()
     k = labels.k
     if iterations == 0:
         return LabelMap(labels=lab, k=k, complete=True)
-    window_counts = _window_counts(image, window).reshape(-1, GRAY_DIM)
+    require_odd_window(window)
+    padded = np.pad(image.pixels, window // 2, mode="edge")
     area = window * window
-    h, w = lab.shape
+    flat = lab.ravel()  # a view: writes move lab
 
     for _ in range(iterations):
-        flat = lab.ravel()
-        class_sizes = np.bincount(flat, minlength=k)
-        # exact integer count sums per class; mean histogram divides once
-        sums = np.zeros((k, GRAY_DIM), dtype=np.int64)
-        np.add.at(sums, flat, window_counts)
-        present = class_sizes > 0
-        means = np.zeros((k, GRAY_DIM))
-        means[present] = sums[present] / (class_sizes[present, None] * float(area))
-
-        boundary = boundary_mask(lab)
-        idx = np.flatnonzero(boundary.ravel())
+        idx = np.flatnonzero(boundary_mask(lab))
         if idx.size == 0:
             break
-        pixel_hists = window_counts[idx].astype(np.float64) / area
-        dists = np.abs(pixel_hists[:, None, :] - means[None, :, :]).sum(axis=2)
-        dists[:, ~present] = np.inf  # empty classes attract nothing
-        new_labels = np.argmin(dists, axis=1).astype(np.int32)
+        class_sizes = np.bincount(flat)
+        present = np.flatnonzero(class_sizes)  # empty classes attract nothing
+        # exact integer count sums per class; mean histogram divides once
+        sums = _class_sums(lab, padded, window, present)
+        means = sums / (class_sizes[present, None] * float(area))
+
+        step = _block_pixels(window, present.size)
+        new_labels = np.empty(idx.size, dtype=np.int32)
+        for start in range(0, idx.size, step):
+            counts = _local_counts(padded, window, idx[start : start + step])
+            new_labels[start : start + step] = present[_nearest(counts, area, means)]
         if np.array_equal(new_labels, flat[idx]):
             break
-        nxt = flat.copy()
-        nxt[idx] = new_labels
-        lab = nxt.reshape(h, w)
+        flat[idx] = new_labels
     return LabelMap(labels=lab, k=k, complete=True)
 
 

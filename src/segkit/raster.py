@@ -255,6 +255,39 @@ def boundary_mask(labels: np.ndarray) -> np.ndarray:
     return mask
 
 
+def require_same_shape(labels: LabelMap, image: GrayImage) -> None:
+    """Raise PreconditionError unless the label map has the image's height
+    and width."""
+    if labels.labels.shape != image.pixels.shape:
+        raise PreconditionError(
+            f"label map is {labels.width}x{labels.height}, image is {image.width}x{image.height}"
+        )
+
+
+def label_bounds(labels: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
+    """Inclusive bounding boxes of the labels 0..k-1 of a (height, width)
+    array, as four int64 arrays x0, y0, x1, y1 of length k. A label that
+    does not occur gets x0 = width, y0 = height and x1 = y1 = -1."""
+    h, w = labels.shape
+    flat = labels.ravel()
+    # runs of one label within a row: the run's ends carry all its extremes
+    first = np.empty(flat.size, dtype=bool)
+    first[0] = True
+    np.not_equal(flat[1:], flat[:-1], out=first[1:])
+    first[::w] = True
+    starts = np.flatnonzero(first)
+    ys, x_starts = np.divmod(starts, w)
+    x_ends = np.append(starts[1:] - 1, flat.size - 1) - ys * w
+    runs = flat[starts]
+    x0, y0 = np.full(k, w, dtype=np.int64), np.full(k, h, dtype=np.int64)
+    x1, y1 = np.full(k, -1, dtype=np.int64), np.full(k, -1, dtype=np.int64)
+    np.minimum.at(x0, runs, x_starts)
+    np.minimum.at(y0, runs, ys)
+    np.maximum.at(x1, runs, x_ends)
+    np.maximum.at(y1, runs, ys)
+    return x0, y0, x1, y1
+
+
 def sobel_magnitude(image: GrayImage) -> GradientMap:
     """Gradient magnitude |Gx| + |Gy| with the standard 3x3 Sobel kernels.
 

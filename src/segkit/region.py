@@ -22,7 +22,16 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import EmptySeeds, IncompleteLabels, NoSeeds, PreconditionError
-from .raster import UNLABELED, GrayImage, LabelMap, _clamped_window_sums, boundary_mask, box_smooth
+from .raster import (
+    UNLABELED,
+    GrayImage,
+    LabelMap,
+    _clamped_window_sums,
+    boundary_mask,
+    box_smooth,
+    label_bounds,
+    require_same_shape,
+)
 
 
 @dataclass(frozen=True)
@@ -259,6 +268,7 @@ def region_stats(labels: LabelMap, image: GrayImage) -> list[RegionStats]:
     """
     if not labels.complete:
         raise IncompleteLabels("region_stats needs a complete label map")
+    require_same_shape(labels, image)
     lab = labels.labels
     h, w = lab.shape
     pix = image.pixels.astype(np.int64)
@@ -275,15 +285,12 @@ def region_stats(labels: LabelMap, image: GrayImage) -> list[RegionStats]:
     boundary = boundary_mask(lab)
     bcounts = np.bincount(flat[boundary.ravel()], minlength=k)
 
-    ys, xs = np.mgrid[0:h, 0:w]
+    bounds = np.stack(label_bounds(lab, k), axis=1).tolist()
     stats = []
     for j in range(k):
         n = int(sizes[j])
         if n == 0:
             continue  # label value unused (e.g. a cluster that emptied)
-        mask = lab == j
-        x0, x1 = int(xs[mask].min()), int(xs[mask].max())
-        y0, y1 = int(ys[mask].min()), int(ys[mask].max())
         mean = s1[j] / n
         variance = (n * int(s2[j]) - int(s1[j]) ** 2) / (n * n)
         stats.append(
@@ -292,7 +299,7 @@ def region_stats(labels: LabelMap, image: GrayImage) -> list[RegionStats]:
                 size=n,
                 mean=float(mean),
                 variance=float(variance),
-                bbox=(x0, y0, x1, y1),
+                bbox=tuple(bounds[j]),
                 size_fraction=n / total,
                 boundary_fraction=int(bcounts[j]) / n,
             )

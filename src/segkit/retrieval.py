@@ -15,6 +15,7 @@ read-only, ingest needs exclusive access.
 from __future__ import annotations
 
 import heapq
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -51,12 +52,17 @@ class ImageRecord:
             raise PreconditionError("counts must fit in int64") from None
         if c.ndim != 1:
             raise PreconditionError(_NONNEGATIVE)
-        fault = _record_fault(c[None], [self.total], [self.description])
+        try:  # a Python int, so total * dim cannot wrap as a numpy integer would
+            total = operator.index(self.total)
+        except TypeError:
+            raise PreconditionError(f"total must be an integer, got {self.total!r}") from None
+        fault = _record_fault(c[None], [total], [self.description])
         if fault is not None:
             raise PreconditionError(fault[1])
         object.__setattr__(self, "counts", c)
-        object.__setattr__(self, "_bins", c / self.total)
-        object.__setattr__(self, "pivot_distance", _pivot_distances(c[None], [self.total])[0])
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "_bins", c / total)
+        object.__setattr__(self, "pivot_distance", _pivot_distances(c[None], [total])[0])
 
     @classmethod
     def _checked(cls, bins: np.ndarray, pivot_distance: float, **fields) -> ImageRecord:

@@ -1,8 +1,10 @@
-"""Reference region growing: per-pixel BFS labelling and Fraction heap keys.
+"""Reference region growing: per-pixel BFS labelling, Fraction heap keys,
+and per-label mask scans for region statistics.
 
 These are the straightforward implementations that segkit.region replaced
-with union-find labelling and integer heap keys; the tests compare the two
-for byte-identical label maps.
+with union-find labelling, integer heap keys and scattered bounding-box
+extremes; the tests compare the two for byte-identical label maps and equal
+statistics.
 """
 
 from __future__ import annotations
@@ -13,14 +15,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from segkit.errors import EmptySeeds, NoSeeds, PreconditionError
-from segkit.raster import UNLABELED, GrayImage, LabelMap, box_smooth
+from segkit.errors import EmptySeeds, IncompleteLabels, NoSeeds, PreconditionError
+from segkit.raster import UNLABELED, GrayImage, LabelMap, boundary_mask, box_smooth
 from segkit.region import (
     RegionParams,
+    RegionStats,
     SegmentationResult,
     _local_variance_ok,
     merge_small_regions,
-    region_stats,
 )
 
 _NEIGHBORS4 = ((-1, 0), (1, 0), (0, -1), (0, 1))
@@ -111,6 +113,51 @@ def grow_regions(image: GrayImage, seeds: LabelMap) -> LabelMap:
             if 0 <= ny < h and 0 <= nx < w and labels[ny, nx] == UNLABELED:
                 push_candidate(ny, nx, region)
     return LabelMap(labels=labels, k=seeds.k, complete=True)
+
+
+def region_stats(labels: LabelMap, image: GrayImage) -> list[RegionStats]:
+    """segkit.region.region_stats with a bounding box from each label's mask."""
+    if not labels.complete:
+        raise IncompleteLabels("region_stats needs a complete label map")
+    lab = labels.labels
+    h, w = lab.shape
+    pix = image.pixels.astype(np.int64)
+    k = labels.k
+    flat = lab.ravel()
+    total = h * w
+
+    sizes = np.bincount(flat, minlength=k)
+    s1 = np.bincount(flat, weights=pix.ravel().astype(np.float64), minlength=k).astype(np.int64)
+    s2 = np.bincount(
+        flat, weights=(pix * pix).ravel().astype(np.float64), minlength=k
+    ).astype(np.int64)
+
+    boundary = boundary_mask(lab)
+    bcounts = np.bincount(flat[boundary.ravel()], minlength=k)
+
+    ys, xs = np.mgrid[0:h, 0:w]
+    stats = []
+    for j in range(k):
+        n = int(sizes[j])
+        if n == 0:
+            continue  # label value unused (e.g. a cluster that emptied)
+        mask = lab == j
+        x0, x1 = int(xs[mask].min()), int(xs[mask].max())
+        y0, y1 = int(ys[mask].min()), int(ys[mask].max())
+        mean = s1[j] / n
+        variance = (n * int(s2[j]) - int(s1[j]) ** 2) / (n * n)
+        stats.append(
+            RegionStats(
+                label=j,
+                size=n,
+                mean=float(mean),
+                variance=float(variance),
+                bbox=(x0, y0, x1, y1),
+                size_fraction=n / total,
+                boundary_fraction=int(bcounts[j]) / n,
+            )
+        )
+    return stats
 
 
 def primary_segment(image: GrayImage, params: RegionParams = RegionParams()) -> SegmentationResult:

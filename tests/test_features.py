@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from segkit.errors import EvenWindow, NoExemplars
+from segkit.errors import EvenWindow, NoExemplars, PreconditionError
 from segkit.features import (
     Exemplar,
     FeatureVector,
@@ -10,7 +10,7 @@ from segkit.features import (
     local_histogram,
     refine_boundaries,
 )
-from segkit.raster import GrayImage, RgbImage
+from segkit.raster import GrayImage, LabelMap, RgbImage
 
 from fixture_builders import lcg_bytes, misclassified, noisy_half_image
 
@@ -161,6 +161,13 @@ class TestRefineBoundaries:
         labels = classify_windows(img, exemplars, window=9)
         refined = refine_boundaries(labels, img, 9, 5)
         assert misclassified(refined.labels, truth) <= truth.size * 0.01
+
+    @pytest.mark.parametrize("shape", [(12, 8), (8, 11)])
+    def test_label_map_of_other_shape_rejected(self, shape):
+        # (12, 8) is the 8x12 image's shape transposed: same pixel count
+        labels = LabelMap(np.zeros(shape, dtype=np.int32), k=1)
+        with pytest.raises(PreconditionError):
+            refine_boundaries(labels, GrayImage(np.zeros((8, 12), dtype=np.uint8)), 3, 1)
 
 
 class TestGlobalFeature:

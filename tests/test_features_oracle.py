@@ -1,0 +1,126 @@
+"""Window classification and boundary refinement against the reference
+implementations in features_oracle, which build the full (H, W, 256) count
+tensor: byte-identical label maps and equal k."""
+
+import tracemalloc
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+import features_oracle as oracle
+from segkit.features import Exemplar, FeatureVector, classify_windows, refine_boundaries
+from segkit.raster import GrayImage, LabelMap
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+SHAPES = st.one_of(
+    st.tuples(st.just(1), st.integers(1, 24)),
+    st.tuples(st.integers(1, 24), st.just(1)),
+    st.tuples(st.integers(1, 24), st.integers(1, 24)),
+)
+
+
+@st.composite
+def images(draw):
+    """Few-level plateaus (tied windows everywhere), or any pixels."""
+    h, w = draw(SHAPES)
+    if draw(st.booleans()):
+        return GrayImage(draw(arrays(np.uint8, (h, w))))
+    levels = np.array(draw(st.lists(st.integers(0, 255), min_size=1, max_size=4)), dtype=np.uint8)
+    return GrayImage(levels[draw(arrays(np.uint8, (h, w), elements=st.integers(0, levels.size - 1)))])
+
+
+def windows(image):
+    """Odd windows from 1 to beyond twice the longer image side."""
+    return st.integers(0, max(image.pixels.shape) + 1).map(lambda r: 2 * r + 1)
+
+
+@st.composite
+def exemplar_lists(draw, image):
+    """1-4 exemplars with labels 0-3 (duplicates allowed). Features are
+    histograms of samples of the image, or one-level deltas; a repeated
+    feature under another label, or two deltas equally far from a plateau,
+    gives exact ties."""
+    samples = image.pixels.ravel()
+    features = []
+    for _ in range(draw(st.integers(1, 4))):
+        if features and draw(st.booleans()):
+            features.append(features[draw(st.integers(0, len(features) - 1))])
+            continue
+        if draw(st.booleans()):
+            picks = draw(st.lists(st.integers(0, samples.size - 1), min_size=1, max_size=12))
+            counts = np.bincount(samples[picks], minlength=256)
+        else:
+            counts = np.zeros(256, dtype=np.int64)
+            counts[draw(st.integers(0, 255))] = 1
+        features.append(FeatureVector(counts / counts.sum()))
+    return [Exemplar(draw(st.integers(0, 3)), f) for f in features]
+
+
+@st.composite
+def classify_cases(draw):
+    image = draw(images())
+    return image, draw(exemplar_lists(image)), draw(windows(image))
+
+
+@st.composite
+def refine_cases(draw):
+    """An image, a complete label map (classified, or drawn from a subset
+    of [0, k) so some classes are empty), a window and 0-4 iterations."""
+    image = draw(images())
+    window = draw(windows(image))
+    if draw(st.booleans()):
+        labels = classify_windows(image, draw(exemplar_lists(image)), window)
+    else:
+        k = draw(st.integers(1, 6))
+        used = np.array(draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=4)), dtype=np.int32)
+        picks = draw(arrays(np.uint8, image.pixels.shape, elements=st.integers(0, used.size - 1)))
+        labels = LabelMap(used[picks], k=k)
+    return image, labels, window, draw(st.integers(0, 4))
+
+
+def same_labels(a: LabelMap, b: LabelMap) -> bool:
+    return (a.k, a.complete, a.labels.dtype, a.labels.tobytes()) == (
+        b.k, b.complete, b.labels.dtype, b.labels.tobytes())
+
+
+@PROPERTY
+@given(classify_cases())
+def test_classify_windows_matches_tensor_oracle(case):
+    image, exemplars, window = case
+    assert same_labels(
+        classify_windows(image, exemplars, window), oracle.classify_windows(image, exemplars, window)
+    )
+
+
+@PROPERTY
+@given(refine_cases())
+def test_refine_boundaries_matches_tensor_oracle(case):
+    image, labels, window, iterations = case
+    assert same_labels(
+        refine_boundaries(labels, image, window, iterations),
+        oracle.refine_boundaries(labels, image, window, iterations),
+    )
+
+
+def test_window_features_memory_stays_bounded():
+    # nearly every pixel of a classified noise image is a boundary pixel;
+    # the tensor versions peak near 76 MB (classify) and 330 MB (refine)
+    rng = np.random.default_rng(7)
+    image = GrayImage(rng.integers(0, 256, (256, 256), dtype=np.uint8))
+    exemplars = []
+    for label in range(3):
+        counts = rng.integers(0, 10, 256)
+        exemplars.append(Exemplar(label, FeatureVector(counts / counts.sum())))
+    tracemalloc.start()
+    try:
+        labels = classify_windows(image, exemplars, 15)
+        classify_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        refine_boundaries(labels, image, 15, 3)
+        refine_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert classify_peak < 32 << 20
+    assert refine_peak < 32 << 20

@@ -218,6 +218,13 @@ class TestRegionStats:
         assert [s.label for s in stats] == [0, 2]
         assert sum(s.size for s in stats) == 9
 
+    @pytest.mark.parametrize("shape", [(12, 8), (8, 11)])
+    def test_label_map_of_other_shape_rejected(self, shape):
+        # (12, 8) is the 8x12 image's shape transposed: same pixel count
+        labels = LabelMap(np.zeros(shape, dtype=np.int32), k=1)
+        with pytest.raises(PreconditionError):
+            region_stats(labels, GrayImage(np.zeros((8, 12), dtype=np.uint8)))
+
 
 class TestPrimarySegment:
     def test_constant_image(self):

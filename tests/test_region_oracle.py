@@ -15,6 +15,7 @@ from segkit.region import (
     _connected_components,
     grow_regions,
     primary_segment,
+    region_stats,
     select_seeds,
 )
 
@@ -93,6 +94,17 @@ def outcome(fn, *args):
         return NoSeeds
 
 
+@st.composite
+def complete_maps(draw):
+    """An image and a complete label map whose values come from a drawn
+    subset of [0, k), so some label values are unused."""
+    h, w = draw(SHAPES)
+    k = draw(st.integers(1, 8))
+    used = np.array(draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=4)), dtype=np.int32)
+    picks = draw(arrays(np.uint8, (h, w), elements=st.integers(0, used.size - 1)))
+    return draw(images(shape=(h, w))), LabelMap(used[picks], k=k)
+
+
 @PROPERTY
 @given(masks())
 def test_connected_components_match_bfs(mask):
@@ -137,3 +149,10 @@ def test_grow_from_serpentine_seed_on_plateau(shape):
     comp, count = _connected_components(serpentine(*shape))
     seeds = LabelMap(comp, k=count, complete=False)
     assert same_labels(grow_regions(image, seeds), oracle.grow_regions(image, seeds))
+
+
+@PROPERTY
+@given(complete_maps())
+def test_region_stats_match_mask_scans(case):
+    image, labels = case
+    assert region_stats(labels, image) == oracle.region_stats(labels, image)

@@ -128,6 +128,23 @@ class TestImageRecord:
         with pytest.raises(PreconditionError):
             ImageRecord(id=0, path="p", description="d", counts=[2**62] * 3 + [2**62 + 1], total=1)
 
+    def test_numpy_integer_total_does_not_wrap(self):
+        # total * dim = 2**64 + 8 is out of range; int64 arithmetic wraps it to 8
+        with pytest.raises(PreconditionError):
+            ImageRecord(
+                id=0, path="p", description="d", counts=[2**61 + 1] + [0] * 7, total=np.int64(2**61 + 1)
+            )
+
+    def test_numpy_integer_total_stored_as_int(self):
+        rec = ImageRecord(id=0, path="p", description="d", counts=[3, 1], total=np.uint64(4))
+        assert type(rec.total) is int and rec.total == 4
+        assert rec.pivot_distance == record_from_counts(0, [3, 1]).pivot_distance
+
+    @pytest.mark.parametrize("total", [4.0, "4", None])
+    def test_non_integral_total_rejected(self, total):
+        with pytest.raises(PreconditionError):
+            ImageRecord(id=0, path="p", description="d", counts=[3, 1], total=total)
+
 
 class TestSearchExhaustive:
     def test_exact_match_ranks_first(self):
