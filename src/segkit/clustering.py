@@ -78,6 +78,8 @@ class Weights:
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 1:
             raise PreconditionError("weights must be one-dimensional")
+        if not np.isfinite(v).all():
+            raise PreconditionError("weights must be finite")
         if v.min() < 0:
             raise PreconditionError("weights must be nonnegative")
         if v.max() <= 0:
@@ -134,7 +136,7 @@ class ClusteringConfig:
             raise PreconditionError("k must be >= 1")
         if self.max_iter < 1:
             raise PreconditionError("max_iter must be >= 1")
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:  # also rejects nan
             raise PreconditionError("epsilon must be >= 0")
         if self.init not in ("quantile", "seeded-random"):
             raise PreconditionError(f"unknown init strategy {self.init!r}")
@@ -147,6 +149,20 @@ class ClusteringResult:
     sse_trace: list = field(default_factory=list)
     iterations: int = 0
     converged: bool = False
+
+
+def _random_picks(n: int, k: int, seed: int) -> list[int]:
+    """k distinct indices below n drawn from the documented LCG; each draw
+    maps to an index via value mod n, redrawing on repeats."""
+    rng = Lcg(seed)
+    chosen: list[int] = []
+    seen = set()
+    while len(chosen) < k:
+        idx = rng.next_u32() % n
+        if idx not in seen:
+            seen.add(idx)
+            chosen.append(idx)
+    return chosen
 
 
 def init_centers(points: PointSet, config: ClusteringConfig) -> ClusterModel:
@@ -169,15 +185,7 @@ def init_centers(points: PointSet, config: ClusteringConfig) -> ClusterModel:
         order = np.lexsort(tuple(keys))
         picks = [order[(2 * j + 1) * n // (2 * k)] for j in range(k)]
     else:
-        rng = Lcg(config.seed)
-        chosen: list[int] = []
-        seen = set()
-        while len(chosen) < k:
-            idx = rng.next_u32() % n
-            if idx not in seen:
-                seen.add(idx)
-                chosen.append(idx)
-        picks = chosen
+        picks = _random_picks(n, k, config.seed)
     return ClusterModel(pts[picks].copy())
 
 
@@ -235,13 +243,20 @@ def update_centers(
         # weighted squared distance of each point to its own cluster's new
         # center; members of all-zero-weight clusters score 0 via w=0
         diffs = pts - centers[a]
-        d2 = np.einsum("nd,nd->n", diffs, diffs)
-        score = w * d2
-        for j in np.flatnonzero(dead):
-            best = int(np.argmax(score))  # first maximum: lowest index on ties
-            centers[j] = pts[best]
-            score[best] = -np.inf  # consumed
+        _reseed(centers, dead, w * np.einsum("nd,nd->n", diffs, diffs), pts)
     return ClusterModel(centers)
+
+
+def _reseed(
+    centers: np.ndarray, dead: np.ndarray, score: np.ndarray, points: np.ndarray
+) -> None:
+    """Move each dead center, in cluster order, onto the point with the
+    largest score (first maximum: lowest point index on ties); each
+    re-seed consumes its point. Updates centers and score in place."""
+    for j in np.flatnonzero(dead):
+        best = int(np.argmax(score))
+        centers[j] = points[best]
+        score[best] = -np.inf
 
 
 def weighted_sse(
@@ -291,8 +306,8 @@ def run_kmeans(
 def edge_weights(gradient: GradientMap, beta: float) -> Weights:
     """Weights 1 / (1 + beta * g) from gradient magnitudes normalized to
     [0, 1] by the global maximum (an all-zero gradient normalizes to 0)."""
-    if beta < 0:
-        raise PreconditionError("beta must be >= 0")
+    if not 0 <= beta < np.inf:  # also rejects nan
+        raise PreconditionError("beta must be finite and >= 0")
     mag = gradient.magnitude.astype(np.float64).ravel()
     peak = mag.max()
     ghat = mag / peak if peak > 0 else np.zeros_like(mag)
@@ -307,12 +322,78 @@ def segment_clustering(
     With beta set, pixel weights come from edge_weights over the Sobel
     magnitude of the image; otherwise all pixels weigh 1. beta=0 yields
     exactly the unit-weight result.
+
+    The result is bit-identical to run_kmeans over the pixels as 1-D
+    points, but each iteration works on the 256 intensity levels: a
+    pixel's nearest center and its squared distance depend only on its
+    level. Only the steps whose float sums depend on pixel order run per
+    pixel: the SSE (a pixel-order cumsum, as in weighted_sse) and, with
+    edge weights, the weighted center sums.
     """
-    points = PointSet(image.pixels.astype(np.float64).reshape(-1, 1))
-    if beta is None:
-        weights = Weights.unit(points.n)
+    flat = image.pixels.ravel()
+    n, k = flat.size, config.k
+    if k > n:
+        raise TooFewPoints(f"k={k} exceeds point count n={n}")
+    hist = np.bincount(flat, minlength=256)
+    levels = np.arange(256, dtype=np.float64).reshape(-1, 1)
+    if config.init == "quantile":
+        # the level at sorted rank floor((j+0.5)*n/k)
+        ranks = [(2 * j + 1) * n // (2 * k) for j in range(k)]
+        picks = np.searchsorted(np.cumsum(hist), ranks, side="right")
     else:
-        weights = edge_weights(sobel_magnitude(image), beta)
-    result = run_kmeans(points, weights, config)
-    labels = result.assignment.member_of.reshape(image.height, image.width)
-    return LabelMap(labels=labels, k=config.k, complete=True), result
+        picks = flat[_random_picks(n, k, config.seed)]
+    centers = levels[picks]
+    if beta is None:
+        weights = None
+        # Σ hist[v]·v per cluster: integers up to 255·n < 2**53, so they
+        # equal the pixel-order float sums bit for bit
+        level_sums = hist * levels.ravel()
+    else:
+        weights = edge_weights(sobel_magnitude(image), beta).values
+        weighted_points = weights * flat
+
+    sse_trace: list[float] = []
+    converged = False
+    for iterations in range(1, config.max_iter + 1):
+        diffs = levels[:, None, :] - centers[None, :, :]
+        d2 = np.einsum("nkd,nkd->nk", diffs, diffs)
+        nearest = np.argmin(d2, axis=1).astype(np.int32)
+        terms = d2.min(axis=1)[flat]
+        if weights is not None:
+            terms *= weights
+        sse_trace.append(float(np.cumsum(terms, out=terms)[-1]))
+
+        count = np.bincount(nearest, weights=hist, minlength=k)
+        if weights is None:
+            sums = np.bincount(nearest, weights=level_sums, minlength=k)
+            wsum = count
+        else:
+            member_of = nearest[flat]
+            sums = np.bincount(member_of, weights=weighted_points, minlength=k)
+            wsum = np.bincount(member_of, weights=weights, minlength=k)
+        dead = (count == 0) | (wsum == 0)
+        live = ~dead
+        new_centers = np.zeros((k, 1))
+        new_centers[live, 0] = sums[live] / wsum[live]
+        if dead.any():
+            level_diffs = levels - new_centers[nearest]
+            score = np.einsum("nd,nd->n", level_diffs, level_diffs)[flat]
+            if weights is not None:
+                score *= weights
+            _reseed(new_centers, dead, score, flat)
+        movement = float(np.max(np.abs(new_centers - centers)))
+        centers = new_centers
+        if movement <= config.epsilon:
+            converged = True
+            break
+
+    assignment = Assignment(nearest[flat])
+    result = ClusteringResult(
+        model=ClusterModel(centers),
+        assignment=assignment,
+        sse_trace=sse_trace,
+        iterations=iterations,
+        converged=converged,
+    )
+    labels = assignment.member_of.reshape(image.height, image.width)
+    return LabelMap(labels=labels, k=k, complete=True), result

@@ -357,7 +357,11 @@ class TestParameterErrors:
         pytest.param(["segment", "--method", "kmeans", "--k", "0"], id="k"),
         pytest.param(["segment", "--method", "kmeans", "--k", "2", "--max-iter", "0"], id="max-iter"),
         pytest.param(["segment", "--method", "kmeans", "--k", "2", "--epsilon", "-1"], id="epsilon"),
+        pytest.param(["segment", "--method", "kmeans", "--k", "2", "--epsilon", "nan"],
+                     id="epsilon-nan"),
         pytest.param(["segment", "--method", "edge", "--k", "2", "--beta", "-1"], id="beta"),
+        pytest.param(["segment", "--method", "edge", "--k", "3", "--beta", "nan"], id="beta-nan"),
+        pytest.param(["segment", "--method", "edge", "--k", "3", "--beta", "inf"], id="beta-inf"),
         pytest.param(["segment", "--method", "windows", "--exemplar", "0:{image}", "--refine", "-1"],
                      id="refine"),
         pytest.param(["segment", "--method", "windows", "--exemplar", "0:{image}", "--window", "4"],
@@ -379,6 +383,10 @@ class TestParameterErrors:
                      id="predict-k"),
         pytest.param(["predict", "--rules", "{rules}", "--segment-method", "edge", "--beta", "-1"],
                      id="predict-beta"),
+        pytest.param(["predict", "--rules", "{rules}", "--segment-method", "edge", "--beta", "nan"],
+                     id="predict-beta-nan"),
+        pytest.param(["predict", "--rules", "{rules}", "--segment-method", "edge", "--beta", "inf"],
+                     id="predict-beta-inf"),
         pytest.param(["segment", "--method", "region", "--variance-threshold", "inf"],
                      id="variance-threshold-inf"),
         pytest.param(["predict", "--rules", "{rules}", "--variance-threshold", "nan"],

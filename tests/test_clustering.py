@@ -16,7 +16,7 @@ from segkit.clustering import (
     update_centers,
     weighted_sse,
 )
-from segkit.errors import TooFewPoints
+from segkit.errors import PreconditionError, TooFewPoints
 from segkit.raster import GradientMap, GrayImage
 
 from fixture_builders import lcg_bytes, misclassified, noisy_half_image
@@ -242,6 +242,13 @@ class TestRunKmeans:
         b = run_kmeans(pts(values), Weights.unit(200), config)
         assert np.array_equal(a.model.centers, b.model.centers)
         assert a.sse_trace == b.sse_trace
+
+
+class TestWeights:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(PreconditionError):
+            Weights(np.array([1.0, bad]))
 
 
 class TestEdgeWeights:
