@@ -57,6 +57,8 @@ class PointSet:
             p = p.reshape(-1, 1)
         if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] < 1:
             raise PreconditionError("points must be a nonempty (n, d) array")
+        if not np.isfinite(p).all():
+            raise PreconditionError("points must be finite")
         object.__setattr__(self, "points", p)
 
     @property

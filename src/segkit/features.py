@@ -9,12 +9,13 @@ iterates that idea against per-class mean histograms.
 No per-pixel histogram is stored for the whole image. Window counts are
 gathered from the edge-padded raster for one block of pixels at a time,
 sized by _BLOCK_ELEMENTS, and the block is classified at once: time is
-O(HW * (window^2 + 256 * centers)) and memory beyond the padded image and
-the label map stays bounded. A class's summed window histogram is an exact
-int64 box sum: intensity v of padded pixel q counts once for each class
-member whose window holds q, and that number is a window x window box
-count of the class mask, taken from cumulative sums. Refinement then
-gathers window counts only for boundary pixels.
+O(HW * (window^2 + 256 * centers)), and memory beyond the padded image and
+the label map is one block plus a pixel and a center index per classified
+pixel. A class's summed window histogram is an exact int64 box sum:
+intensity v of padded pixel q counts once for each class member whose
+window holds q, a window x window box count of the class mask read from
+raster.window_sums, the only box-sum kernel. Refinement then gathers
+window counts only for boundary pixels.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .raster import (
     label_bounds,
     require_odd_window,
     require_same_shape,
+    window_sums,
 )
 
 GRAY_DIM = 256
@@ -57,8 +59,8 @@ class FeatureVector:
         b = np.asarray(self.bins, dtype=np.float64)
         if b.ndim != 1 or b.size < 1:
             raise PreconditionError("bins must be a nonempty 1-D array")
-        if b.min() < 0:
-            raise PreconditionError("bins must be nonnegative")
+        if not (np.isfinite(b).all() and b.min() >= 0):
+            raise PreconditionError("bins must be finite and nonnegative")
         if self.normalized and abs(b.sum() - 1.0) > _NORMALIZATION_TOL:
             raise PreconditionError("normalized feature bins must sum to 1")
         object.__setattr__(self, "bins", b)
@@ -93,34 +95,23 @@ def _local_counts(padded: np.ndarray, window: int, pixels: np.ndarray) -> np.nda
     return np.bincount(keys.ravel(), minlength=pixels.size * GRAY_DIM).reshape(-1, GRAY_DIM)
 
 
-def _block_pixels(window: int, centers: int) -> int:
-    """Pixels per block: as many as keep each temporary of a block (window
+def _nearest_windows(
+    padded: np.ndarray, window: int, pixels: np.ndarray, centers: np.ndarray
+) -> np.ndarray:
+    """Index of the L1-nearest center to the normalized window histogram of
+    each given flat pixel index; ties go to the lowest index.
+
+    Pixels go in blocks of as many as keep each temporary of a block (window
     samples, counts, distances to the centers) within _BLOCK_ELEMENTS
     entries, and at least one."""
-    return max(1, _BLOCK_ELEMENTS // max(window * window, centers * GRAY_DIM))
-
-
-def _nearest(counts: np.ndarray, area: int, centers: np.ndarray) -> np.ndarray:
-    """Index of the L1-nearest center to each row of counts / area; ties go
-    to the lowest index."""
-    diffs = (counts / area)[:, None, :] - centers[None, :, :]
-    return np.argmin(np.abs(diffs, out=diffs).sum(axis=2), axis=1)
-
-
-def _full_box_counts(mask: np.ndarray, window: int) -> np.ndarray:
-    """(h + window - 1, w + window - 1) int64 counts: entry (i, j) counts the
-    True entries of mask in rows i - window + 1 .. i and columns
-    j - window + 1 .. j, that is the pixels whose window covers (i, j) of
-    the raster padded by window // 2."""
-    out = mask
-    for axis in (0, 1):
-        n = out.shape[axis]
-        run = np.insert(np.cumsum(out, axis=axis, dtype=np.int64), 0, 0, axis=axis)
-        ends = np.arange(1, n + window)
-        out = np.take(run, np.minimum(ends, n), axis=axis) - np.take(
-            run, np.maximum(ends - window, 0), axis=axis
-        )
-    return out
+    area = window * window
+    step = max(1, _BLOCK_ELEMENTS // max(area, len(centers) * GRAY_DIM))
+    nearest = np.empty(pixels.size, dtype=np.int32)
+    for start in range(0, pixels.size, step):
+        counts = _local_counts(padded, window, pixels[start : start + step])
+        diffs = (counts / area)[:, None, :] - centers[None, :, :]
+        nearest[start : start + step] = np.argmin(np.abs(diffs, out=diffs).sum(axis=2), axis=1)
+    return nearest
 
 
 def _class_sums(
@@ -136,7 +127,8 @@ def _class_sums(
     x0, y0, x1, y1 = label_bounds(lab, int(classes[-1]) + 1)
     sums = np.empty((classes.size, GRAY_DIM), dtype=np.int64)
     for i, c in enumerate(classes.tolist()):
-        cover = _full_box_counts(lab[y0[c] : y1[c] + 1, x0[c] : x1[c] + 1] == c, window)
+        mask = lab[y0[c] : y1[c] + 1, x0[c] : x1[c] + 1] == c
+        cover = window_sums(np.pad(mask, window - 1), window)
         vals = padded[y0[c] : y1[c] + window, x0[c] : x1[c] + window].ravel()
         # per-intensity totals of cover, in int64: a running sum in intensity
         # order (a stable sort of 8-bit keys is a radix sort)
@@ -178,13 +170,7 @@ def classify_windows(
 
     require_odd_window(window)
     padded = np.pad(image.pixels, window // 2, mode="edge")
-    area = window * window
-    n = image.pixels.size
-    step = _block_pixels(window, len(feats))
-    out = np.empty(n, dtype=np.int32)
-    for start in range(0, n, step):
-        counts = _local_counts(padded, window, np.arange(start, min(start + step, n)))
-        out[start : start + step] = labels_of[_nearest(counts, area, feats)]
+    out = labels_of[_nearest_windows(padded, window, np.arange(image.pixels.size), feats)]
     k = int(labels_of.max()) + 1
     return LabelMap(labels=out.reshape(image.pixels.shape), k=k, complete=True)
 
@@ -223,12 +209,7 @@ def refine_boundaries(
         # exact integer count sums per class; mean histogram divides once
         sums = _class_sums(lab, padded, window, present)
         means = sums / (class_sizes[present, None] * float(area))
-
-        step = _block_pixels(window, present.size)
-        new_labels = np.empty(idx.size, dtype=np.int32)
-        for start in range(0, idx.size, step):
-            counts = _local_counts(padded, window, idx[start : start + step])
-            new_labels[start : start + step] = present[_nearest(counts, area, means)]
+        new_labels = present[_nearest_windows(padded, window, idx, means)]
         if np.array_equal(new_labels, flat[idx]):
             break
         flat[idx] = new_labels

@@ -2,7 +2,8 @@
 
 Pixels are 8-bit. All window operations handle borders by clamping
 coordinates to the image (edge replication), so outputs keep the input
-dimensions. Everything here is a pure function of immutable inputs.
+dimensions; window_sums is segkit's only box-sum kernel. Everything here
+is a pure function of immutable inputs.
 """
 
 from __future__ import annotations
@@ -20,6 +21,19 @@ UNLABELED = -1
 MAX_WINDOW = (1 << 29) - 1
 
 
+def _exact_cast(values, dtype: type) -> np.ndarray:
+    """values as a dtype array; PreconditionError when the cast would alter
+    a value: one out of range, fractional, or not finite."""
+    a = np.asarray(values)
+    if a.dtype == dtype:
+        return a
+    info = np.iinfo(dtype)
+    # range first, so the cast cannot warn; nan fails both comparisons
+    if not ((a >= info.min) & (a <= info.max)).all() or not ((cast := a.astype(dtype)) == a).all():
+        raise PreconditionError(f"{a.dtype} values do not convert to {info.dtype} exactly")
+    return cast
+
+
 @dataclass(frozen=True)
 class GrayImage:
     """Single-channel image; pixels is a (height, width) uint8 array."""
@@ -27,7 +41,7 @@ class GrayImage:
     pixels: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.pixels, dtype=np.uint8)
+        p = _exact_cast(self.pixels, np.uint8)
         if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] < 1:
             raise PreconditionError("GrayImage needs a (height, width) array with both dims >= 1")
         object.__setattr__(self, "pixels", p)
@@ -48,7 +62,7 @@ class RgbImage:
     pixels: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.pixels, dtype=np.uint8)
+        p = _exact_cast(self.pixels, np.uint8)
         if p.ndim != 3 or p.shape[2] != 3 or p.shape[0] < 1 or p.shape[1] < 1:
             raise PreconditionError("RgbImage needs a (height, width, 3) array with both dims >= 1")
         object.__setattr__(self, "pixels", p)
@@ -75,7 +89,7 @@ class LabelMap:
     complete: bool = True
 
     def __post_init__(self):
-        lab = np.asarray(self.labels, dtype=np.int32)
+        lab = _exact_cast(self.labels, np.int32)
         if lab.ndim != 2:
             raise PreconditionError("labels must be a (height, width) array")
         if self.k < 1:
@@ -202,23 +216,16 @@ def to_gray(image: RgbImage) -> GrayImage:
     return GrayImage(out)
 
 
-def _clamped_window_sums(values: np.ndarray, radius: int) -> np.ndarray:
-    """Sum of the (2r+1)^2 window around each pixel, coordinates clamped.
-
-    values must be integral; the result is an exact int64 array.
-    """
-    padded = np.pad(values.astype(np.int64), radius, mode="edge")
-    # integral image with a zero top row/left column
-    ii = np.zeros((padded.shape[0] + 1, padded.shape[1] + 1), dtype=np.int64)
-    ii[1:, 1:] = padded.cumsum(axis=0).cumsum(axis=1)
-    w = 2 * radius + 1
-    h, wid = values.shape
-    return (
-        ii[w : w + h, w : w + wid]
-        - ii[0:h, w : w + wid]
-        - ii[w : w + h, 0:wid]
-        + ii[0:h, 0:wid]
-    )
+def window_sums(values: np.ndarray, window: int) -> np.ndarray:
+    """Exact int64 sums of every window x window block of a 2-D integer
+    array, read from a zero-bordered summed-area table: entry (i, j) sums
+    values[i : i + window, j : j + window]. Callers pad for their borders."""
+    h, w = values.shape
+    sat = np.zeros((h + 1, w + 1), dtype=np.int64)
+    np.cumsum(values, axis=0, dtype=np.int64, out=sat[1:, 1:])
+    np.cumsum(sat[1:, 1:], axis=1, out=sat[1:, 1:])
+    bottom, top = sat[window:], sat[:-window]
+    return bottom[:, window:] - top[:, window:] - bottom[:, :-window] + top[:, :-window]
 
 
 def box_smooth(image: GrayImage, radius: int) -> GrayImage:
@@ -228,7 +235,7 @@ def box_smooth(image: GrayImage, radius: int) -> GrayImage:
     if radius == 0:
         return GrayImage(image.pixels.copy())
     area = (2 * radius + 1) ** 2
-    sums = _clamped_window_sums(image.pixels, radius)
+    sums = window_sums(np.pad(image.pixels, radius, mode="edge"), 2 * radius + 1)
     out = (2 * sums + area) // (2 * area)
     return GrayImage(out.astype(np.uint8))
 

@@ -26,11 +26,11 @@ from .raster import (
     UNLABELED,
     GrayImage,
     LabelMap,
-    _clamped_window_sums,
     boundary_mask,
     box_smooth,
     label_bounds,
     require_same_shape,
+    window_sums,
 )
 
 
@@ -76,9 +76,9 @@ def _local_variance_ok(image: GrayImage, threshold: float) -> np.ndarray:
     Decided in exact integers: var = (9*S2 - S1^2) / 81, so the test is
     9*S2 - S1^2 <= floor(81 * threshold).
     """
-    v = image.pixels.astype(np.int64)
-    s1 = _clamped_window_sums(v, 1)
-    s2 = _clamped_window_sums(v * v, 1)
+    v = np.pad(image.pixels.astype(np.int64), 1, mode="edge")
+    s1 = window_sums(v, 3)
+    s2 = window_sums(v * v, 3)
     return (9 * s2 - s1 * s1) <= math.floor(81 * Fraction(threshold))
 
 

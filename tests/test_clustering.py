@@ -244,6 +244,13 @@ class TestRunKmeans:
         assert a.sse_trace == b.sse_trace
 
 
+class TestPointSet:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(PreconditionError):
+            PointSet(np.array([1.0, bad]))
+
+
 class TestWeights:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, bad):

@@ -27,6 +27,13 @@ def half_16x16():
     return GrayImage(img)
 
 
+class TestFeatureVector:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(PreconditionError):
+            FeatureVector(np.array([0.5, bad]), normalized=False)
+
+
 class TestLocalHistogram:
     def test_constant_area(self):
         img = GrayImage(np.full((5, 5), 7, dtype=np.uint8))

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from segkit.errors import BadMagic, TruncatedData, UnsupportedMaxval
+from segkit.errors import BadMagic, PreconditionError, TruncatedData, UnsupportedMaxval
 from segkit.raster import (
     GrayImage,
+    LabelMap,
     RgbImage,
     box_smooth,
     decode_pnm,
@@ -17,6 +18,27 @@ from fixture_builders import lcg_bytes
 
 def gray(rows):
     return GrayImage(np.array(rows, dtype=np.uint8))
+
+
+# values the uint8 / int32 cast would wrap, truncate, or turn into garbage
+NOT_UINT8 = [[[300, -1], [256, 5]], [[1.7, 254.9]], [[np.nan, 1.0]], [[np.inf, 0.0]]]
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize("rows", NOT_UINT8)
+    def test_gray_rejects_values_it_would_alter(self, rows):
+        with pytest.raises(PreconditionError):
+            GrayImage(np.array(rows))
+
+    @pytest.mark.parametrize("rows", NOT_UINT8)
+    def test_rgb_rejects_values_it_would_alter(self, rows):
+        with pytest.raises(PreconditionError):
+            RgbImage(np.repeat(np.array(rows)[:, :, None], 3, axis=2))
+
+    @pytest.mark.parametrize("rows", [[[2**32, 1]], [[0.5, 1.0]], [[np.nan, 1.0]]])
+    def test_label_map_rejects_values_it_would_alter(self, rows):
+        with pytest.raises(PreconditionError):
+            LabelMap(np.array(rows), k=2)
 
 
 class TestDecodePnm:
