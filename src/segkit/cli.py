@@ -10,7 +10,9 @@ never left behind on failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import fcntl
 import os
 import sys
 import tempfile
@@ -249,18 +251,39 @@ def _load_index(path: str) -> retrieval.Index:
     return retrieval.decode_index(_read_text(path))
 
 
-def _cmd_ingest(args, out) -> int:
-    if os.path.exists(args.index):
-        index = _load_index(args.index)
-    else:
-        index = retrieval.Index()
-    image = _read_image(args.input)
-    rec_id = retrieval.ingest(index, image, args.desc, args.input)
+@contextlib.contextmanager
+def _exclusive_lock(path: str):
+    """Hold an exclusive flock on path, created if missing, for the block."""
     try:
-        data = retrieval.encode_index(index).encode("utf-8")
-    except UnicodeEncodeError as exc:
-        raise PreconditionError(f"path and description must be UTF-8 text: {exc.reason}") from None
-    _write_atomic_bytes(args.index, data)
+        fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o666)
+    except OSError as exc:
+        raise FormatError(f"cannot open lock file {path}: {exc.strerror}") from None
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+        except OSError as exc:
+            raise FormatError(f"cannot lock {path}: {exc.strerror}") from None
+        yield
+    finally:
+        os.close(fd)
+
+
+def _cmd_ingest(args, out) -> int:
+    """Ingests into one index run one at a time: each holds <index>.lock
+    from reading the index to renaming the new one into place. Queries take
+    no lock, since the rename already hands every reader a whole file."""
+    with _exclusive_lock(args.index + ".lock"):
+        if os.path.exists(args.index):
+            index = _load_index(args.index)
+        else:
+            index = retrieval.Index()
+        image = _read_image(args.input)
+        rec_id = retrieval.ingest(index, image, args.desc, args.input)
+        try:
+            data = retrieval.encode_index(index).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise PreconditionError(f"path and description must be UTF-8 text: {exc.reason}") from None
+        _write_atomic_bytes(args.index, data)
     print(rec_id, file=out)
     return EXIT_OK
 

@@ -8,6 +8,11 @@ the achievable score, so once the bound falls below the current k-th best
 score the scan stops. The pruned search returns exactly what the
 exhaustive scan returns, ids, order, and scores included.
 
+The index text is canonical: decode_index accepts exactly what
+encode_index writes, so every decoded record keeps the line it was read
+from and encoding a decoded index joins those lines without formatting any
+record again.
+
 An index supports one writer or many concurrent readers; searches are
 read-only, ingest needs exclusive access.
 """
@@ -63,13 +68,17 @@ class ImageRecord:
         object.__setattr__(self, "total", total)
         object.__setattr__(self, "_bins", c / total)
         object.__setattr__(self, "pivot_distance", _pivot_distances(c[None], [total])[0])
+        counts = ",".join(map(str, c.tolist()))
+        line = f"{self.id}\t{total}\t{counts}\t{escape_field(self.path)}\t{escape_field(self.description)}"
+        object.__setattr__(self, "_line", line)
 
     @classmethod
-    def _checked(cls, bins: np.ndarray, pivot_distance: float, **fields) -> ImageRecord:
+    def _checked(cls, bins: np.ndarray, pivot_distance: float, line: str, **fields) -> ImageRecord:
         """A record from fields that already passed _record_fault, with the
-        values __post_init__ would derive from them; nothing is checked again."""
+        values __post_init__ would derive from them (line is its encoded
+        index line); nothing is checked again."""
         rec = object.__new__(cls)
-        rec.__dict__.update(fields, _bins=bins, pivot_distance=pivot_distance)
+        rec.__dict__.update(fields, _bins=bins, pivot_distance=pivot_distance, _line=line)
         return rec
 
     @property
@@ -240,10 +249,17 @@ def search_optimized(
 
 
 def escape_field(text: str) -> str:
-    return text.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
+    return text.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n").replace("\r", "\\r")
+
+
+_ESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
 
 
 def unescape_field(text: str) -> str:
+    """The text escape_field was given; raises ValueError on a field it
+    never writes: a raw carriage return, an unknown or dangling escape."""
+    if "\r" in text:
+        raise ValueError("raw carriage return in a field")
     if "\\" not in text:
         return text
     out = []
@@ -254,14 +270,9 @@ def unescape_field(text: str) -> str:
             if i + 1 >= len(text):
                 raise ValueError("dangling backslash")
             nxt = text[i + 1]
-            if nxt == "\\":
-                out.append("\\")
-            elif nxt == "t":
-                out.append("\t")
-            elif nxt == "n":
-                out.append("\n")
-            else:
+            if nxt not in _ESCAPES:
                 raise ValueError(f"unknown escape \\{nxt}")
+            out.append(_ESCAPES[nxt])
             i += 2
         else:
             out.append(ch)
@@ -275,15 +286,12 @@ def encode_index(index: Index) -> str:
     Header: SEGIDX <TAB> version <TAB> feature_dim (0 when no ingest has
     fixed the dimension yet). One record per line: id, total,
     comma-joined counts, path, description; path and description escape
-    backslash, tab, and newline.
+    backslash, tab, newline and carriage return. Every number is a plain
+    decimal and the text ends in a newline. Each record's line was
+    formatted when the record was made or read, so this only joins them.
     """
     dim = index.feature_dim if index.feature_dim is not None else 0
-    lines = [f"{_HEADER_TAG}\t{index.version}\t{dim}"]
-    for rec in index.records:
-        counts = ",".join(map(str, rec.counts.tolist()))
-        lines.append(
-            f"{rec.id}\t{rec.total}\t{counts}\t{escape_field(rec.path)}\t{escape_field(rec.description)}"
-        )
+    lines = [f"{_HEADER_TAG}\t{index.version}\t{dim}", *(rec._line for rec in index.records)]
     return "\n".join(lines) + "\n"
 
 
@@ -298,8 +306,8 @@ def _find(mask: np.ndarray) -> int:
 
 def _count_grammar_fault(fields: Sequence[str]) -> tuple[int, str] | None:
     """The first count field that breaks the form encode_index writes,
-    counts of 1 to _MAX_DIGITS ASCII digits joined by commas, with the
-    reason; None when every field conforms."""
+    counts of 1 to _MAX_DIGITS ASCII digits without a leading zero joined
+    by commas, with the reason; None when every field conforms."""
     # every field between two commas
     text = ",".join(["", *fields, ""])
     # one byte per character: a non-ASCII character becomes "?", a stray byte
@@ -307,6 +315,8 @@ def _count_grammar_fault(fields: Sequence[str]) -> tuple[int, str] | None:
     comma = buf == ord(",")
     stray = buf - np.uint8(ord("0")) > 9  # bytes below "0" wrap around
     stray &= ~comma
+    # the comma before a count of two or more digits that starts with "0"
+    padded = comma[:-2] & (buf[1:-1] == ord("0")) & ~comma[2:]
     # runs of _MAX_DIGITS + 1 non-commas: run[i] covers buf[i : i + width]
     run, width = ~comma, 1
     while width <= _MAX_DIGITS:
@@ -314,8 +324,8 @@ def _count_grammar_fault(fields: Sequence[str]) -> tuple[int, str] | None:
         run = run[:-step] & run[step:]
         width += step
     # the first byte of each defect: a stray byte, the first of too many
-    # digits, or the comma before an empty count
-    hits = [pos for pos in (_find(stray), _find(run), text.find(",,")) if pos >= 0]
+    # digits, or the comma before an empty or a zero-padded count
+    hits = [pos for pos in (_find(stray), _find(run), text.find(",,"), _find(padded)) if pos >= 0]
     if not hits:
         return None
     pos = min(hits)
@@ -324,19 +334,31 @@ def _count_grammar_fault(fields: Sequence[str]) -> tuple[int, str] | None:
     row = int(np.searchsorted(ends, pos, side="right"))
     begin = text.rfind(",", 0, pos + 1) + 1
     count = text[begin : text.find(",", begin)]
-    return row, f"count {count!r} is not 1 to {_MAX_DIGITS} ASCII digits"
+    return row, f"count {count!r} is not 1 to {_MAX_DIGITS} ASCII digits without a leading zero"
+
+
+def _decimal(text: str) -> int:
+    """The value of a number spelled as encode_index writes it; raises
+    ValueError on any other spelling, such as " 1", "+1", "01" or "1_0"."""
+    value = int(text)
+    if str(value) != text:
+        raise ValueError(f"{text!r} is not a plain decimal")
+    return value
 
 
 def decode_index(text: str) -> Index:
     """Parse encode_index output; raises BadHeader or BadRecord (with the
     offending line number).
 
-    Counts must be spelled as encode_index writes them: 1 to 18 ASCII
-    digits each, comma-separated, feature_dim of them per record. They are
-    parsed and checked for all records at once.
+    Only text that encode_index writes is accepted: header fields, ids and
+    totals are plain decimals, counts are 1 to 18 ASCII digits without a
+    leading zero, comma-separated, feature_dim of them per record, and the
+    text ends in a newline. Counts are parsed and checked for all records
+    at once, and each record keeps its line for encode_index.
     """
     lines = text.split("\n")
-    if lines and lines[-1] == "":
+    terminated = lines[-1] == ""
+    if terminated:
         lines.pop()
     if not lines:
         raise BadHeader("empty index text")
@@ -344,13 +366,15 @@ def decode_index(text: str) -> Index:
     if len(head) != 3 or head[0] != _HEADER_TAG:
         raise BadHeader(f"malformed header line {lines[0]!r}")
     try:
-        version, dim = int(head[1]), int(head[2])
+        version, dim = _decimal(head[1]), _decimal(head[2])
     except ValueError:
-        raise BadHeader(f"non-numeric header fields in {lines[0]!r}") from None
+        raise BadHeader(f"header fields in {lines[0]!r} are not plain decimals") from None
     if version != FORMAT_VERSION:
         raise BadHeader(f"unsupported format version {version}")
     if dim not in (0, 64, 256):
         raise BadHeader(f"unsupported feature dimension {dim}")
+    if len(lines) == 1 and not terminated:
+        raise BadHeader("header line without a final newline")
     index = Index(feature_dim=None if dim == 0 else dim)
 
     # (row, reason) of the first failing row of each check. A check only
@@ -365,7 +389,7 @@ def decode_index(text: str) -> Index:
             break
         try:
             fields.append(
-                (int(parts[0]), int(parts[1]), parts[2],
+                (_decimal(parts[0]), _decimal(parts[1]), parts[2],
                  unescape_field(parts[3]), unescape_field(parts[4]))
             )
         except ValueError as exc:
@@ -402,6 +426,8 @@ def decode_index(text: str) -> Index:
             record_fault = _record_fault(counts, totals[:clean], descriptions[:clean])
             if record_fault is not None:
                 faults.append(record_fault)
+    if not terminated:
+        faults.append((len(lines) - 2, "missing final newline"))
     if faults:
         row, reason = min(faults, key=lambda fault: fault[0])
         raise BadRecord(f"line {row + 2}: {reason}")
@@ -410,7 +436,7 @@ def decode_index(text: str) -> Index:
         bins = counts / np.array(totals)[:, None]
         index.records = [
             ImageRecord._checked(
-                bins[i], pivots[i], id=i, path=paths[i], description=descriptions[i],
+                bins[i], pivots[i], lines[i + 1], id=i, path=paths[i], description=descriptions[i],
                 counts=counts[i], total=totals[i],
             )
             for i in range(len(fields))

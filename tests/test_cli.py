@@ -1,4 +1,7 @@
+import errno
+import fcntl
 import io
+import multiprocessing
 import os
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 
 from segkit.cli import run
 from segkit.raster import GrayImage, RgbImage, decode_pnm, encode_pnm
+from segkit.retrieval import decode_index
 
 from fixture_builders import lcg_bytes, noisy_half_image
 
@@ -22,6 +26,20 @@ def invoke(argv):
     out, err = io.StringIO(), io.StringIO()
     code = run(argv, out=out, err=err)
     return code, out.getvalue(), err.getvalue()
+
+
+def ingest_loop(worker, index, image, n, barrier, results):
+    """Ingest image n times into index once both workers are ready; puts
+    (worker, printed ids, failures) on results."""
+    barrier.wait(timeout=60)
+    ids, failures = [], []
+    for i in range(n):
+        code, stdout, err = invoke(["ingest", "--index", index, "--desc", f"{worker}-{i}", image])
+        if code:
+            failures.append(err)
+        else:
+            ids.append(int(stdout))
+    results.put((worker, ids, failures))
 
 
 @pytest.fixture
@@ -270,6 +288,51 @@ class TestIngestAndQuery:
         _, stdout, _ = invoke(["query", "--index", str(idx), "--top", "1", str(img)])
         fields = stdout.strip().split("\t")
         assert fields[4] == "tab\\there"  # escaped in TSV output
+
+    def test_carriage_return_in_description_round_trips_escaped(self, tmp_path):
+        idx = tmp_path / "idx.tsv"
+        img = tmp_path / "i.pgm"
+        write_pgm(img, [[5, 6], [7, 8]])
+        for desc in ("a\rb", "c"):
+            code, _, err = invoke(["ingest", "--index", str(idx), "--desc", desc, str(img)])
+            assert code == 0, err
+        code, stdout, err = invoke(["query", "--index", str(idx), "--top", "2", str(img)])
+        assert code == 0, err
+        assert [row.split("\t")[4] for row in stdout.splitlines()] == ["a\\rb", "c"]
+
+    def test_lock_failure_exits_2(self, tmp_path, monkeypatch):
+        def no_locks(fd, operation):
+            raise OSError(errno.ENOLCK, os.strerror(errno.ENOLCK))
+
+        monkeypatch.setattr(fcntl, "flock", no_locks)
+        idx, img = tmp_path / "idx.tsv", tmp_path / "i.pgm"
+        write_pgm(img, [[5]])
+        code, stdout, err = invoke(["ingest", "--index", str(idx), "--desc", "x", str(img)])
+        assert code == 2 and "cannot lock" in err and not stdout
+        assert not idx.exists()
+
+    def test_concurrent_ingests_keep_every_record(self, tmp_path):
+        idx, img, n = tmp_path / "idx.tsv", tmp_path / "i.pgm", 15
+        write_pgm(img, [[5, 6], [7, 8]])
+        ctx = multiprocessing.get_context("spawn")
+        barrier, results = ctx.Barrier(2), ctx.Queue()
+        workers = [
+            ctx.Process(target=ingest_loop, args=(w, str(idx), str(img), n, barrier, results))
+            for w in range(2)
+        ]
+        for p in workers:
+            p.start()
+        outcomes = [results.get(timeout=120) for _ in workers]
+        for p in workers:
+            p.join(timeout=30)
+            assert not p.is_alive() and p.exitcode == 0
+        assert [failures for _, _, failures in outcomes] == [[], []]
+        ids = sorted(i for _, worker_ids, _ in outcomes for i in worker_ids)
+        assert ids == list(range(2 * n))
+        records = decode_index(idx.read_text()).records
+        assert sorted(r.description for r in records) == sorted(
+            f"{w}-{i}" for w in range(2) for i in range(n)
+        )
 
 
 class TestPredictCommand:

@@ -284,10 +284,30 @@ class TestIndexCodec:
         with pytest.raises(BadRecord, match="line 3"):
             decode_index(text)
 
-    def test_zero_padded_counts_up_to_18_digits_accepted(self):
+    def test_zero_padded_counts_rejected(self):
         counts = ",".join(["0" * 17 + "5"] + ["0" * 18] * 63)
-        again = decode_index(f"SEGIDX\t1\t64\n0\t5\t{counts}\tp\td\n")
-        assert again.records[0].counts.tolist() == [5] + [0] * 63
+        with pytest.raises(BadRecord, match="line 2"):
+            decode_index(f"SEGIDX\t1\t64\n0\t5\t{counts}\tp\td\n")
+
+    CANONICAL = "SEGIDX\t1\t64\n0\t64\t" + ",".join(["63", "1"] + ["0"] * 62) + "\tp\td\n"
+
+    @pytest.mark.parametrize("canonical,respelled,error", [
+        pytest.param("SEGIDX\t1", "SEGIDX\t 1", BadHeader, id="version-space"),
+        pytest.param("SEGIDX\t1", "SEGIDX\t01", BadHeader, id="version-zero-padded"),
+        pytest.param("\t64\n", "\t064\n", BadHeader, id="dimension-zero-padded"),
+        pytest.param("\n0\t", "\n+0\t", BadRecord, id="id-plus"),
+        pytest.param("\n0\t", "\n00\t", BadRecord, id="id-zero-padded"),
+        pytest.param("\t64\t", "\t 64\t", BadRecord, id="total-space"),
+        pytest.param("\t64\t", "\t6_4\t", BadRecord, id="total-underscore"),
+        pytest.param("\t63,1,", "\t63,01,", BadRecord, id="count-zero-padded"),
+        pytest.param("\td\n", "\td", BadRecord, id="no-final-newline"),
+        pytest.param("\tp\t", "\tp\r\t", BadRecord, id="path-raw-carriage-return"),
+    ])
+    def test_non_canonical_spellings_rejected(self, canonical, respelled, error):
+        assert encode_index(decode_index(self.CANONICAL)) == self.CANONICAL
+        assert self.CANONICAL.count(canonical) == 1
+        with pytest.raises(error):
+            decode_index(self.CANONICAL.replace(canonical, respelled))
 
     def test_non_dense_ids_rejected(self):
         counts = ",".join(["1"] + ["0"] * 63)
