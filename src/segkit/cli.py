@@ -11,17 +11,19 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import fcntl
 import os
 import sys
 import tempfile
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import clustering, features, predict, region, retrieval, threshold
 from .errors import FormatError, PreconditionError
 from .raster import GrayImage, LabelMap, RgbImage, decode_pnm, encode_pnm, to_gray
+
+if TYPE_CHECKING:  # only for annotations: each command imports the modules it runs
+    from . import clustering, features, region, retrieval
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -47,9 +49,9 @@ def _read_image(path: str) -> GrayImage | RgbImage:
     return decode_pnm(data)
 
 
-def _read_text(path: str) -> str:
+def _read_text(path: str, newline: str | None = None) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8", newline=newline) as fh:
             return fh.read()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc.strerror}") from None
@@ -97,9 +99,10 @@ def _export_labels(labels: LabelMap, path: str):
 def _add_threshold_parser(sub):
     p = sub.add_parser("threshold", help="binarize via histogram thresholding")
     p.add_argument("--method", required=True, choices=("otsu", "valley"))
-    p.add_argument("--window", type=int, default=threshold.DEFAULT_SMOOTH_WINDOW,
+    # dest is valley_threshold's keyword; metavar keeps the help text
+    p.add_argument("--window", type=int, dest="smooth_window", metavar="WINDOW",
                    help="histogram smoothing window (valley method)")
-    p.add_argument("--min-sep", type=int, default=threshold.DEFAULT_MIN_SEPARATION,
+    p.add_argument("--min-sep", type=int, dest="min_separation", metavar="MIN_SEP",
                    help="minimum peak separation in bins (valley method)")
     p.add_argument("input")
     p.add_argument("output")
@@ -107,17 +110,24 @@ def _add_threshold_parser(sub):
 
 def _add_clustering_arguments(p):
     """--beta/--seed/--init, shared by segment and predict."""
-    p.add_argument("--beta", type=float, default=clustering.DEFAULT_BETA,
-                   help="edge weighting strength (edge method)")
-    p.add_argument("--seed", type=int, default=0, help="PRNG seed for --init random")
-    p.add_argument("--init", choices=("quantile", "random"), default="quantile")
+    p.add_argument("--beta", type=float, help="edge weighting strength (edge method)")
+    p.add_argument("--seed", type=int, help="PRNG seed for --init random")
+    p.add_argument("--init", choices=("quantile", "random"))
+
+
+# (name, type) of each RegionParams field, in field order: one flag each
+REGION_FLAGS = (("smooth_radius", int), ("variance_threshold", float), ("min_seed_size", int),
+                ("min_region_size", int), ("contrast_guard", float))
 
 
 def _add_region_arguments(p):
-    """One flag per RegionParams field, with the field's type and default."""
-    for f in dataclasses.fields(region.RegionParams):
-        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
-                       default=f.default, help="region method")
+    for name, kind in REGION_FLAGS:
+        p.add_argument("--" + name.replace("_", "-"), type=kind, help="region method")
+
+
+def _set_flags(args, names) -> dict:
+    """The named flags the user set; the library's defaults fill the rest."""
+    return {name: value for name in names if (value := getattr(args, name, None)) is not None}
 
 
 def _add_segment_parser(sub):
@@ -125,11 +135,10 @@ def _add_segment_parser(sub):
     p.add_argument("--method", required=True, choices=("kmeans", "edge", "region", "windows"))
     p.add_argument("--k", type=int, help="cluster count (kmeans/edge)")
     _add_clustering_arguments(p)
-    p.add_argument("--max-iter", type=int, default=clustering.ClusteringConfig.max_iter)
-    p.add_argument("--epsilon", type=float, default=clustering.ClusteringConfig.epsilon)
+    p.add_argument("--max-iter", type=int)
+    p.add_argument("--epsilon", type=float)
     _add_region_arguments(p)
-    p.add_argument("--window", type=int, default=features.DEFAULT_WINDOW,
-                   help="local histogram window (windows method)")
+    p.add_argument("--window", type=int, help="local histogram window (windows method)")
     p.add_argument("--refine", type=int, default=0,
                    help="boundary refinement iterations (windows method)")
     p.add_argument("--exemplar", action="append", default=[], metavar="LABEL:FILE",
@@ -162,9 +171,6 @@ def _add_predict_parser(sub):
     p.add_argument("--k", type=int, default=2, help="cluster count (kmeans/edge)")
     _add_clustering_arguments(p)
     _add_region_arguments(p)
-    # not user-settable for predict; _clustering_config reads them
-    p.set_defaults(max_iter=clustering.ClusteringConfig.max_iter,
-                   epsilon=clustering.ClusteringConfig.epsilon)
     p.add_argument("input")
 
 
@@ -180,35 +186,41 @@ def _build_parser() -> _ArgumentParser:
 
 
 def _cmd_threshold(args, out) -> int:
+    from . import threshold
     image = _read_gray(args.input)
     hist = threshold.gray_histogram(image)
     if args.method == "otsu":
         report = threshold.otsu_threshold(hist)
     else:
-        report = threshold.valley_threshold(hist, args.window, args.min_sep)
+        report = threshold.valley_threshold(hist, **_set_flags(args, ("smooth_window", "min_separation")))
     labels = threshold.binarize(image, report.level)
     _export_labels(labels, args.output)
     print(report.level, file=out)
     return EXIT_OK
 
 
-def _clustering_config(args) -> clustering.ClusteringConfig:
+def _segment_clustering(args, image: GrayImage, method: str) -> tuple[LabelMap, clustering.ClusteringResult]:
+    """K-means (method "kmeans") or edge-weighted K-means ("edge") of image."""
+    from . import clustering
     if args.k is None:
         raise _UsageError("--k is required for kmeans/edge segmentation")
-    init = "seeded-random" if args.init == "random" else "quantile"
-    return clustering.ClusteringConfig(
-        k=args.k, max_iter=args.max_iter, epsilon=args.epsilon,
-        init=init, seed=args.seed,
-    )
+    options = _set_flags(args, ("max_iter", "epsilon", "seed", "init"))
+    if options.get("init") == "random":
+        options["init"] = "seeded-random"
+    config = clustering.ClusteringConfig(k=args.k, **options)
+    beta = None
+    if method == "edge":
+        beta = clustering.DEFAULT_BETA if args.beta is None else args.beta
+    return clustering.segment_clustering(image, config, beta)
 
 
 def _region_params(args) -> region.RegionParams:
-    return region.RegionParams(
-        **{f.name: getattr(args, f.name) for f in dataclasses.fields(region.RegionParams)}
-    )
+    from . import region
+    return region.RegionParams(**_set_flags(args, (name for name, _ in REGION_FLAGS)))
 
 
 def _parse_exemplars(specs: list[str]) -> list[features.Exemplar]:
+    from . import features
     exemplars = []
     for spec in specs:
         label_text, _, path = spec.partition(":")
@@ -226,29 +238,32 @@ def _parse_exemplars(specs: list[str]) -> list[features.Exemplar]:
 def _cmd_segment(args, out) -> int:
     image = _read_gray(args.input)
     if args.method in ("kmeans", "edge"):
-        config = _clustering_config(args)
-        beta = args.beta if args.method == "edge" else None
-        labels, result = clustering.segment_clustering(image, config, beta)
+        labels, result = _segment_clustering(args, image, args.method)
         _export_labels(labels, args.output)
         print(f"sse\t{result.sse_trace[-1]:.6f}", file=out)
     elif args.method == "region":
+        from . import region
         result = region.primary_segment(image, _region_params(args))
         _export_labels(result.labels, args.output)
         print(f"regions\t{result.labels.k}", file=out)
     else:  # windows
+        from . import features
         exemplars = _parse_exemplars(args.exemplar)
         if not exemplars:
             raise _UsageError("--method windows requires at least one --exemplar")
-        labels = features.classify_windows(image, exemplars, args.window)
+        window = features.DEFAULT_WINDOW if args.window is None else args.window
+        labels = features.classify_windows(image, exemplars, window)
         if args.refine:
-            labels = features.refine_boundaries(labels, image, args.window, args.refine)
+            labels = features.refine_boundaries(labels, image, window, args.refine)
         _export_labels(labels, args.output)
         print(f"regions\t{labels.k}", file=out)
     return EXIT_OK
 
 
 def _load_index(path: str) -> retrieval.Index:
-    return retrieval.decode_index(_read_text(path))
+    from . import retrieval
+    # no newline translation: decode_index sees, and rejects, a carriage return
+    return retrieval.decode_index(_read_text(path, newline=""))
 
 
 @contextlib.contextmanager
@@ -272,6 +287,7 @@ def _cmd_ingest(args, out) -> int:
     """Ingests into one index run one at a time: each holds <index>.lock
     from reading the index to renaming the new one into place. Queries take
     no lock, since the rename already hands every reader a whole file."""
+    from . import retrieval
     with _exclusive_lock(args.index + ".lock"):
         if os.path.exists(args.index):
             index = _load_index(args.index)
@@ -289,6 +305,7 @@ def _cmd_ingest(args, out) -> int:
 
 
 def _cmd_query(args, out) -> int:
+    from . import features, retrieval
     index = _load_index(args.index)
     image = _read_image(args.input)
     query = features.global_feature(image)
@@ -309,12 +326,12 @@ def _image_features(args, image: GrayImage) -> dict[str, float]:
     """Feature map fed to the rule base: stats of the largest region plus
     the region count (documented names: mean, variance, size_fraction,
     boundary_fraction, region_count)."""
+    from . import region
     if args.segment_method == "region":
         result = region.primary_segment(image, _region_params(args))
         stats = result.stats
     else:
-        beta = args.beta if args.segment_method == "edge" else None
-        labels, _ = clustering.segment_clustering(image, _clustering_config(args), beta)
+        labels, _ = _segment_clustering(args, image, args.segment_method)
         stats = region.region_stats(labels, image)
     dominant = max(stats, key=lambda s: (s.size, -s.label))
     return {
@@ -327,6 +344,7 @@ def _image_features(args, image: GrayImage) -> dict[str, float]:
 
 
 def _cmd_predict(args, out) -> int:
+    from . import predict
     rulebase = predict.parse_rulebase(_read_text(args.rules))
     image = _read_gray(args.input)
     feature_map = _image_features(args, image)

@@ -42,7 +42,10 @@ _PRUNE_MARGIN = 1e-9
 @dataclass(frozen=True)
 class ImageRecord:
     """One ingested image: id, source path, description, and its histogram
-    stored as raw integer counts (feature = counts / total)."""
+    stored as raw integer counts (feature = counts / total).
+
+    counts is a read-only copy of the array given, so the values derived
+    from it (bins, pivot distance, encoded line) cannot go stale."""
 
     id: int
     path: str
@@ -52,7 +55,7 @@ class ImageRecord:
 
     def __post_init__(self):
         try:
-            c = np.asarray(self.counts, dtype=np.int64)
+            c = np.array(self.counts, dtype=np.int64)
         except OverflowError:
             raise PreconditionError("counts must fit in int64") from None
         if c.ndim != 1:
@@ -64,9 +67,11 @@ class ImageRecord:
         fault = _record_fault(c[None], [total], [self.description])
         if fault is not None:
             raise PreconditionError(fault[1])
+        bins = c / total
+        c.flags.writeable = bins.flags.writeable = False
         object.__setattr__(self, "counts", c)
         object.__setattr__(self, "total", total)
-        object.__setattr__(self, "_bins", c / total)
+        object.__setattr__(self, "_bins", bins)
         object.__setattr__(self, "pivot_distance", _pivot_distances(c[None], [total])[0])
         counts = ",".join(map(str, c.tolist()))
         line = f"{self.id}\t{total}\t{counts}\t{escape_field(self.path)}\t{escape_field(self.description)}"
@@ -76,7 +81,7 @@ class ImageRecord:
     def _checked(cls, bins: np.ndarray, pivot_distance: float, line: str, **fields) -> ImageRecord:
         """A record from fields that already passed _record_fault, with the
         values __post_init__ would derive from them (line is its encoded
-        index line); nothing is checked again."""
+        index line; counts and bins are read-only); nothing is checked again."""
         rec = object.__new__(cls)
         rec.__dict__.update(fields, _bins=bins, pivot_distance=pivot_distance, _line=line)
         return rec
@@ -434,6 +439,7 @@ def decode_index(text: str) -> Index:
     if fields:
         pivots = _pivot_distances(counts, totals)
         bins = counts / np.array(totals)[:, None]
+        counts.flags.writeable = bins.flags.writeable = False  # rows are the records' views
         index.records = [
             ImageRecord._checked(
                 bins[i], pivots[i], lines[i + 1], id=i, path=paths[i], description=descriptions[i],

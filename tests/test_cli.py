@@ -300,6 +300,25 @@ class TestIngestAndQuery:
         assert code == 0, err
         assert [row.split("\t")[4] for row in stdout.splitlines()] == ["a\\rb", "c"]
 
+    @pytest.mark.parametrize("mode", ["ingest", "query"])
+    @pytest.mark.parametrize("line_ends", ["crlf", "cr-inside-record-line"])
+    def test_carriage_return_in_index_exits_2(self, tmp_path, line_ends, mode):
+        # universal newlines would read both texts as the canonical index
+        idx, img = tmp_path / "idx.tsv", tmp_path / "i.pgm"
+        write_pgm(img, [[5, 6], [7, 8]])
+        for desc in ("a", "b"):
+            assert invoke(["ingest", "--index", str(idx), "--desc", desc, str(img)])[0] == 0
+        header, first, second, _ = idx.read_bytes().split(b"\n")
+        if line_ends == "crlf":
+            text = b"\r\n".join([header, first, second, b""])
+        else:
+            text = header + b"\n" + first + b"\r" + second + b"\n"
+        idx.write_bytes(text)
+        argv = {"ingest": ["ingest", "--desc", "c"], "query": ["query", "--top", "1"]}[mode]
+        code, stdout, err = invoke(argv + ["--index", str(idx), str(img)])
+        assert code == 2 and err and not stdout
+        assert idx.read_bytes() == text
+
     def test_lock_failure_exits_2(self, tmp_path, monkeypatch):
         def no_locks(fd, operation):
             raise OSError(errno.ENOLCK, os.strerror(errno.ENOLCK))

@@ -145,6 +145,25 @@ class TestImageRecord:
         with pytest.raises(PreconditionError):
             ImageRecord(id=0, path="p", description="d", counts=[3, 1], total=total)
 
+    @pytest.mark.parametrize("source", ["constructed", "decoded"])
+    def test_counts_and_bins_read_only(self, source):
+        rec = record_from_counts(0, [3, 1] + [0] * 62)
+        if source == "decoded":
+            rec = decode_index(encode_index(Index(feature_dim=64, records=[rec]))).records[0]
+        text = encode_index(Index(feature_dim=64, records=[rec]))
+        for array in (rec.counts, rec.feature.bins):
+            with pytest.raises(ValueError):
+                array[0] += 1
+        assert rec.counts[:2].tolist() == [3, 1]
+        assert encode_index(Index(feature_dim=64, records=[rec])) == text
+
+    def test_callers_counts_stay_writeable_and_unshared(self):
+        counts = np.array([3, 1, 0, 0], dtype=np.int64)
+        rec = record_from_counts(0, counts)
+        counts[0] += 1
+        assert counts.flags.writeable
+        assert rec.counts.tolist() == [3, 1, 0, 0] and rec.feature.bins[0] == 0.75
+
 
 class TestSearchExhaustive:
     def test_exact_match_ranks_first(self):
