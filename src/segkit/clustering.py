@@ -9,6 +9,13 @@ give standard K-means; weights derived from gradient magnitude give the
 edge-adaptive variant, which discounts pixels near strong edges when
 centers are recomputed.
 
+One Lloyd loop serves run_kmeans and segment_clustering. It runs over
+distinct points (rows), point i being row members[i]: distances and nearest
+centers are computed per row, the SSE and weighted center sums per point.
+Unit-weight center sums are row value times multiplicity, which equals the
+point-order sum bit for bit only because the image levels are integers and
+every partial sum stays below 2**53.
+
 Every reduction is performed in ascending point-index order with fixed
 tie-breaks, so results are bit-reproducible for a fixed configuration.
 """
@@ -167,6 +174,114 @@ def _random_picks(n: int, k: int, seed: int) -> list[int]:
     return chosen
 
 
+class _DistinctPoints:
+    """n points as m distinct rows: point i is values[members[i]], and row r
+    stands for multiplicity[r] points. weights holds one weight per point,
+    or None for unit weights. weighted holds the addends of the center sums,
+    one row per coordinate: w * x per point, or x * multiplicity per row for
+    unit weights (exact only for integer values with sums below 2**53)."""
+
+    def __init__(self, values: np.ndarray, members: np.ndarray, weights: np.ndarray | None = None):
+        self.values = values
+        self.members = members
+        self.multiplicity = np.bincount(members, minlength=values.shape[0])
+        self.weights = weights
+        if weights is None:
+            self.weighted = [row * self.multiplicity for row in values.T]
+        else:
+            self.weighted = [weights * row[members] for row in values.T]
+
+
+def _each_point(points: PointSet, weights: Weights | None = None) -> _DistinctPoints:
+    return _DistinctPoints(points.points, np.arange(points.n), None if weights is None else weights.values)
+
+
+def _init(p: _DistinctPoints, config: ClusteringConfig) -> np.ndarray:
+    n, k = p.members.size, config.k
+    if k > n:
+        raise TooFewPoints(f"k={k} exceeds point count n={n}")
+    if config.init == "quantile":
+        # rows sorted by coordinates, then row index; the row holding the
+        # point at sorted rank floor((j+0.5)*n/k)
+        order = np.lexsort((np.arange(p.values.shape[0]), *p.values.T[::-1]))
+        ranks = [(2 * j + 1) * n // (2 * k) for j in range(k)]
+        rows = order[np.searchsorted(np.cumsum(p.multiplicity[order]), ranks, side="right")]
+    else:
+        rows = p.members[_random_picks(n, k, config.seed)]
+    return p.values[rows]
+
+
+def _assign(values: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared distance of every row to every center, and each row's
+    nearest center (ties to the lowest cluster index)."""
+    diffs = values[:, None, :] - centers[None, :, :]
+    d2 = np.einsum("nkd,nkd->nk", diffs, diffs)
+    return d2, np.argmin(d2, axis=1).astype(np.int32)
+
+
+def _update(p: _DistinctPoints, nearest: np.ndarray, k: int) -> np.ndarray:
+    """update_centers, given each row's nearest center."""
+    count = np.bincount(nearest, weights=p.multiplicity, minlength=k)
+    if p.weights is None:
+        at, wsum = nearest, count
+    else:
+        at = nearest[p.members]
+        wsum = np.bincount(at, weights=p.weights, minlength=k)
+    # np.bincount iterates its input sequentially, matching a naive loop
+    sums = np.stack([np.bincount(at, weights=row, minlength=k) for row in p.weighted], axis=1)
+    dead = (count == 0) | (wsum == 0)
+    centers = np.zeros((k, p.values.shape[1]))
+    centers[~dead] = sums[~dead] / wsum[~dead, None]
+    if dead.any():
+        # weighted squared distance of each point to its own cluster's new
+        # center; members of all-zero-weight clusters score 0 via w=0
+        diffs = p.values - centers[nearest]
+        score = np.einsum("nd,nd->n", diffs, diffs)[p.members]
+        if p.weights is not None:
+            score *= p.weights
+        centers[dead] = p.values[p.members[_farthest(score, int(dead.sum()))]]
+    return centers
+
+
+def _farthest(score: np.ndarray, s: int) -> np.ndarray:
+    """The s points that s rounds of "take the first argmax, then consume
+    it" pick, in order: score descending, nan first (as argmax ranks it),
+    ties to the lowest index. Past n rounds (only update_centers with
+    k > n gets there) the argmax of the all-consumed scores is point 0."""
+    n = score.size
+    t = min(s, n)
+    floor = np.partition(score, n - t)[n - t]  # nan sorts last, as the largest
+    top = np.flatnonzero(~(score < floor))[::-1]
+    # ascending stable sort of the reversed candidates, read backwards
+    picks = top[np.argsort(score[top], kind="stable")[::-1][:t]]
+    return np.concatenate([picks, np.zeros(s - t, dtype=picks.dtype)])
+
+
+def _lloyd(p: _DistinctPoints, config: ClusteringConfig) -> ClusteringResult:
+    """Alternate assignment and center updates until centers stop moving."""
+    centers = _init(p, config)
+    sse_trace: list[float] = []
+    for iterations in range(1, config.max_iter + 1):
+        d2, nearest = _assign(p.values, centers)
+        # each point's own row minimum, summed in point order
+        terms = d2.min(axis=1)[p.members]
+        if p.weights is not None:
+            terms *= p.weights
+        sse_trace.append(float(np.cumsum(terms, out=terms)[-1]))
+        new_centers = _update(p, nearest, config.k)
+        converged = float(np.max(np.abs(new_centers - centers))) <= config.epsilon
+        centers = new_centers
+        if converged:
+            break
+    return ClusteringResult(
+        model=ClusterModel(centers),
+        assignment=Assignment(nearest[p.members]),
+        sse_trace=sse_trace,
+        iterations=iterations,
+        converged=converged,
+    )
+
+
 def init_centers(points: PointSet, config: ClusteringConfig) -> ClusterModel:
     """Pick initial centers.
 
@@ -177,45 +292,15 @@ def init_centers(points: PointSet, config: ClusteringConfig) -> ClusterModel:
     seeded-random: draw k distinct indices from the documented LCG; each
     draw maps to an index via value mod n, redrawing on repeats.
     """
-    n, k = points.n, config.k
-    if k > n:
-        raise TooFewPoints(f"k={k} exceeds point count n={n}")
-    pts = points.points
-    if config.init == "quantile":
-        keys = [np.arange(n)]
-        keys.extend(pts[:, j] for j in range(points.dim - 1, -1, -1))
-        order = np.lexsort(tuple(keys))
-        picks = [order[(2 * j + 1) * n // (2 * k)] for j in range(k)]
-    else:
-        picks = _random_picks(n, k, config.seed)
-    return ClusterModel(pts[picks].copy())
+    return ClusterModel(_init(_each_point(points), config))
 
 
 def assign_points(points: PointSet, model: ClusterModel) -> Assignment:
     """Assign each point to the nearest center (squared Euclidean);
     ties go to the lowest cluster index."""
-    pts = points.points
-    centers = model.centers
-    if pts.shape[1] != centers.shape[1]:
+    if points.dim != model.centers.shape[1]:
         raise PreconditionError("point and center dimensions differ")
-    diffs = pts[:, None, :] - centers[None, :, :]
-    d2 = np.einsum("nkd,nkd->nk", diffs, diffs)
-    return Assignment(np.argmin(d2, axis=1).astype(np.int32))
-
-
-def _cluster_sums(
-    points: np.ndarray, assignment: np.ndarray, weights: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-cluster weighted coordinate sums, weight sums, and member counts,
-    accumulated in ascending point-index order (np.bincount iterates the
-    input sequentially, matching a naive loop bit for bit)."""
-    d = points.shape[1]
-    sums = np.empty((k, d))
-    for j in range(d):
-        sums[:, j] = np.bincount(assignment, weights=weights * points[:, j], minlength=k)
-    wsum = np.bincount(assignment, weights=weights, minlength=k)
-    count = np.bincount(assignment, minlength=k)
-    return sums, wsum, count
+    return Assignment(_assign(points.points, model.centers)[1])
 
 
 def update_centers(
@@ -228,37 +313,12 @@ def update_centers(
     its own cluster's new center (ties to the lowest point index); each
     re-seed consumes its point so later empty clusters pick fresh ones.
     """
-    pts = points.points
     a = assignment.member_of
-    w = weights.values
-    if a.shape[0] != pts.shape[0] or w.shape[0] != pts.shape[0]:
+    if a.shape[0] != points.n or weights.values.shape[0] != points.n:
         raise PreconditionError("assignment and weights must cover every point")
     if a.size and a.max() >= k:
         raise PreconditionError("assignment index out of range")
-    sums, wsum, count = _cluster_sums(pts, a, w, k)
-    dead = (count == 0) | (wsum == 0)
-    centers = np.zeros((k, pts.shape[1]))
-    live = ~dead
-    centers[live] = sums[live] / wsum[live, None]
-
-    if dead.any():
-        # weighted squared distance of each point to its own cluster's new
-        # center; members of all-zero-weight clusters score 0 via w=0
-        diffs = pts - centers[a]
-        _reseed(centers, dead, w * np.einsum("nd,nd->n", diffs, diffs), pts)
-    return ClusterModel(centers)
-
-
-def _reseed(
-    centers: np.ndarray, dead: np.ndarray, score: np.ndarray, points: np.ndarray
-) -> None:
-    """Move each dead center, in cluster order, onto the point with the
-    largest score (first maximum: lowest point index on ties); each
-    re-seed consumes its point. Updates centers and score in place."""
-    for j in np.flatnonzero(dead):
-        best = int(np.argmax(score))
-        centers[j] = points[best]
-        score[best] = -np.inf
+    return ClusterModel(_update(_each_point(points, weights), a, k))
 
 
 def weighted_sse(
@@ -281,28 +341,7 @@ def run_kmeans(
     most config.epsilon, or after config.max_iter iterations. The SSE is
     recorded after every assignment and is non-increasing.
     """
-    model = init_centers(points, config)
-    sse_trace: list[float] = []
-    assignment = Assignment(np.zeros(points.n, dtype=np.int32))
-    converged = False
-    iterations = 0
-    for it in range(1, config.max_iter + 1):
-        iterations = it
-        assignment = assign_points(points, model)
-        sse_trace.append(weighted_sse(points, model, assignment, weights))
-        new_model = update_centers(points, assignment, weights, config.k)
-        movement = float(np.max(np.abs(new_model.centers - model.centers)))
-        model = new_model
-        if movement <= config.epsilon:
-            converged = True
-            break
-    return ClusteringResult(
-        model=model,
-        assignment=assignment,
-        sse_trace=sse_trace,
-        iterations=iterations,
-        converged=converged,
-    )
+    return _lloyd(_each_point(points, weights), config)
 
 
 def edge_weights(gradient: GradientMap, beta: float) -> Weights:
@@ -326,76 +365,10 @@ def segment_clustering(
     exactly the unit-weight result.
 
     The result is bit-identical to run_kmeans over the pixels as 1-D
-    points, but each iteration works on the 256 intensity levels: a
-    pixel's nearest center and its squared distance depend only on its
-    level. Only the steps whose float sums depend on pixel order run per
-    pixel: the SSE (a pixel-order cumsum, as in weighted_sse) and, with
-    edge weights, the weighted center sums.
+    points: the Lloyd loop runs over the 256 intensity levels as its
+    distinct rows, with the pixels as members.
     """
-    flat = image.pixels.ravel()
-    n, k = flat.size, config.k
-    if k > n:
-        raise TooFewPoints(f"k={k} exceeds point count n={n}")
-    hist = np.bincount(flat, minlength=256)
-    levels = np.arange(256, dtype=np.float64).reshape(-1, 1)
-    if config.init == "quantile":
-        # the level at sorted rank floor((j+0.5)*n/k)
-        ranks = [(2 * j + 1) * n // (2 * k) for j in range(k)]
-        picks = np.searchsorted(np.cumsum(hist), ranks, side="right")
-    else:
-        picks = flat[_random_picks(n, k, config.seed)]
-    centers = levels[picks]
-    if beta is None:
-        weights = None
-        # Σ hist[v]·v per cluster: integers up to 255·n < 2**53, so they
-        # equal the pixel-order float sums bit for bit
-        level_sums = hist * levels.ravel()
-    else:
-        weights = edge_weights(sobel_magnitude(image), beta).values
-        weighted_points = weights * flat
-
-    sse_trace: list[float] = []
-    converged = False
-    for iterations in range(1, config.max_iter + 1):
-        diffs = levels[:, None, :] - centers[None, :, :]
-        d2 = np.einsum("nkd,nkd->nk", diffs, diffs)
-        nearest = np.argmin(d2, axis=1).astype(np.int32)
-        terms = d2.min(axis=1)[flat]
-        if weights is not None:
-            terms *= weights
-        sse_trace.append(float(np.cumsum(terms, out=terms)[-1]))
-
-        count = np.bincount(nearest, weights=hist, minlength=k)
-        if weights is None:
-            sums = np.bincount(nearest, weights=level_sums, minlength=k)
-            wsum = count
-        else:
-            member_of = nearest[flat]
-            sums = np.bincount(member_of, weights=weighted_points, minlength=k)
-            wsum = np.bincount(member_of, weights=weights, minlength=k)
-        dead = (count == 0) | (wsum == 0)
-        live = ~dead
-        new_centers = np.zeros((k, 1))
-        new_centers[live, 0] = sums[live] / wsum[live]
-        if dead.any():
-            level_diffs = levels - new_centers[nearest]
-            score = np.einsum("nd,nd->n", level_diffs, level_diffs)[flat]
-            if weights is not None:
-                score *= weights
-            _reseed(new_centers, dead, score, flat)
-        movement = float(np.max(np.abs(new_centers - centers)))
-        centers = new_centers
-        if movement <= config.epsilon:
-            converged = True
-            break
-
-    assignment = Assignment(nearest[flat])
-    result = ClusteringResult(
-        model=ClusterModel(centers),
-        assignment=assignment,
-        sse_trace=sse_trace,
-        iterations=iterations,
-        converged=converged,
-    )
-    labels = assignment.member_of.reshape(image.height, image.width)
-    return LabelMap(labels=labels, k=k, complete=True), result
+    weights = None if beta is None else edge_weights(sobel_magnitude(image), beta).values
+    result = _lloyd(_DistinctPoints(np.arange(256.0).reshape(-1, 1), image.pixels.ravel(), weights), config)
+    labels = result.assignment.member_of.reshape(image.height, image.width)
+    return LabelMap(labels=labels, k=config.k, complete=True), result

@@ -32,6 +32,8 @@ class Histogram:
         c = np.asarray(self.counts)
         if c.shape != (BINS,):
             raise PreconditionError("histogram needs exactly 256 bins")
+        if not np.isfinite(c.astype(np.float64)).all():  # object arrays of ints too
+            raise PreconditionError("counts must be finite")
         if c.min() < 0:
             raise PreconditionError("counts must be nonnegative")
         object.__setattr__(self, "counts", c)
@@ -136,25 +138,25 @@ def otsu_threshold(h: Histogram) -> ThresholdReport:
     cross-multiplying these integers.
     """
     counts = np.asarray(h.counts)
-    if counts.sum() <= 0:
+    # Python ints: int64 cumulative sums would wrap on large counts
+    c = counts.tolist()
+    n_total = sum(c)
+    if n_total <= 0:
         raise EmptyHistogram("histogram has no mass")
     if not np.issubdtype(counts.dtype, np.integer):
         raise PreconditionError("otsu_threshold needs integer counts")
-    c = counts.astype(np.int64)
-    n0 = np.cumsum(c)
-    s0 = np.cumsum(c * np.arange(BINS, dtype=np.int64))
-    n_total = int(n0[-1])
-    s_total = int(s0[-1])
+    s_total = sum(t * v for t, v in enumerate(c))
 
     best_t = 0
-    best_num = 0  # (s0*n1 - s1*n0)^2 as a Python int
+    best_num = 0  # (s0*n1 - s1*n0)^2
     best_den = 1  # n0*n1
-    for t in range(BINS):
-        a0 = int(n0[t])
+    a0 = b0 = 0
+    for t, v in enumerate(c):
+        a0 += v
+        b0 += t * v
         a1 = n_total - a0
         if a0 == 0 or a1 == 0:
             continue  # score 0, never beats a positive score; level 0 default
-        b0 = int(s0[t])
         b1 = s_total - b0
         num = (b0 * a1 - b1 * a0) ** 2
         den = a0 * a1

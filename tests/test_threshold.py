@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from segkit.errors import EmptyHistogram, EvenWindow, NoTwoPeaks
+from segkit.errors import EmptyHistogram, EvenWindow, NoTwoPeaks, PreconditionError
 from segkit.raster import GrayImage
 from segkit.threshold import (
     Histogram,
@@ -185,6 +185,35 @@ class TestOtsuThreshold:
             counts = lcg_bytes(seed + 500, 256).astype(np.int64)
             h = Histogram(counts)
             assert otsu_threshold(h).level == oracle(counts)
+
+
+    @pytest.mark.parametrize(
+        "dtype, pairs, level",
+        [
+            # int64 cumulative sums wrapped: the mass read negative, or the
+            # wrong level came back without a warning
+            (np.int64, [(40, 2**60), (200, 2**60), (100, 1)], 100),
+            (np.int64, [(40, 2**62), (200, 2**62)], 40),
+            # uint64 counts were cast to int64
+            (np.uint64, [(40, 2**63), (200, 2**63), (100, 1)], 100),
+            (np.uint64, [(40, 2**64 - 1), (200, 2**63), (210, 2**62)], 40),
+        ],
+    )
+    def test_large_counts_exact(self, dtype, pairs, level):
+        counts = np.zeros(256, dtype=dtype)
+        for bin_, c in pairs:
+            counts[bin_] = c
+        assert otsu_threshold(Histogram(counts)).level == level
+
+
+class TestHistogram:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        counts = np.zeros(256)
+        counts[[40, 200]] = 50.0
+        counts[120] = bad
+        with pytest.raises(PreconditionError):
+            Histogram(counts)
 
 
 class TestBinarize:
