@@ -11,7 +11,8 @@ centers are recomputed.
 
 One Lloyd loop serves run_kmeans and segment_clustering. It runs over
 distinct points (rows), point i being row members[i]: distances and nearest
-centers are computed per row, the SSE and weighted center sums per point.
+centers are computed per row, while the SSE and the weighted center sums
+are accumulated per point.
 Unit-weight center sums are row value times multiplicity, which equals the
 point-order sum bit for bit only because the image levels are integers and
 every partial sum stays below 2**53.
@@ -211,12 +212,21 @@ def _init(p: _DistinctPoints, config: ClusteringConfig) -> np.ndarray:
     return p.values[rows]
 
 
-def _assign(values: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Squared distance of every row to every center, and each row's
-    nearest center (ties to the lowest cluster index)."""
+def _assign(values: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Each row's nearest center (squared Euclidean; ties to the lowest
+    cluster index)."""
     diffs = values[:, None, :] - centers[None, :, :]
-    d2 = np.einsum("nkd,nkd->nk", diffs, diffs)
-    return d2, np.argmin(d2, axis=1).astype(np.int32)
+    return np.argmin(np.einsum("nkd,nkd->nk", diffs, diffs), axis=1).astype(np.int32)
+
+
+def _point_sse(p: _DistinctPoints, centers: np.ndarray, nearest: np.ndarray) -> np.ndarray:
+    """w_i * ||x_i - c||^2 for every point i, c being the center of its
+    row's cluster: weighted_sse's terms, computed once per row."""
+    diffs = p.values - centers[nearest]
+    terms = np.einsum("nd,nd->n", diffs, diffs)[p.members]
+    if p.weights is not None:
+        terms *= p.weights
+    return terms
 
 
 def _update(p: _DistinctPoints, nearest: np.ndarray, k: int) -> np.ndarray:
@@ -235,26 +245,12 @@ def _update(p: _DistinctPoints, nearest: np.ndarray, k: int) -> np.ndarray:
     if dead.any():
         # weighted squared distance of each point to its own cluster's new
         # center; members of all-zero-weight clusters score 0 via w=0
-        diffs = p.values - centers[nearest]
-        score = np.einsum("nd,nd->n", diffs, diffs)[p.members]
-        if p.weights is not None:
-            score *= p.weights
-        centers[dead] = p.values[p.members[_farthest(score, int(dead.sum()))]]
+        score = _point_sse(p, centers, nearest)
+        for j in np.flatnonzero(dead):
+            best = int(np.argmax(score))  # first maximum: lowest point index
+            centers[j] = p.values[p.members[best]]
+            score[best] = -np.inf  # consumed
     return centers
-
-
-def _farthest(score: np.ndarray, s: int) -> np.ndarray:
-    """The s points that s rounds of "take the first argmax, then consume
-    it" pick, in order: score descending, nan first (as argmax ranks it),
-    ties to the lowest index. Past n rounds (only update_centers with
-    k > n gets there) the argmax of the all-consumed scores is point 0."""
-    n = score.size
-    t = min(s, n)
-    floor = np.partition(score, n - t)[n - t]  # nan sorts last, as the largest
-    top = np.flatnonzero(~(score < floor))[::-1]
-    # ascending stable sort of the reversed candidates, read backwards
-    picks = top[np.argsort(score[top], kind="stable")[::-1][:t]]
-    return np.concatenate([picks, np.zeros(s - t, dtype=picks.dtype)])
 
 
 def _lloyd(p: _DistinctPoints, config: ClusteringConfig) -> ClusteringResult:
@@ -262,12 +258,9 @@ def _lloyd(p: _DistinctPoints, config: ClusteringConfig) -> ClusteringResult:
     centers = _init(p, config)
     sse_trace: list[float] = []
     for iterations in range(1, config.max_iter + 1):
-        d2, nearest = _assign(p.values, centers)
-        # each point's own row minimum, summed in point order
-        terms = d2.min(axis=1)[p.members]
-        if p.weights is not None:
-            terms *= p.weights
-        sse_trace.append(float(np.cumsum(terms, out=terms)[-1]))
+        nearest = _assign(p.values, centers)
+        terms = _point_sse(p, centers, nearest)
+        sse_trace.append(float(np.cumsum(terms, out=terms)[-1]))  # point order
         new_centers = _update(p, nearest, config.k)
         converged = float(np.max(np.abs(new_centers - centers))) <= config.epsilon
         centers = new_centers
@@ -300,7 +293,7 @@ def assign_points(points: PointSet, model: ClusterModel) -> Assignment:
     ties go to the lowest cluster index."""
     if points.dim != model.centers.shape[1]:
         raise PreconditionError("point and center dimensions differ")
-    return Assignment(_assign(points.points, model.centers)[1])
+    return Assignment(_assign(points.points, model.centers))
 
 
 def update_centers(
@@ -368,6 +361,9 @@ def segment_clustering(
     points: the Lloyd loop runs over the 256 intensity levels as its
     distinct rows, with the pixels as members.
     """
+    n, k = image.pixels.size, config.k
+    if k > n:  # before the Sobel pass
+        raise TooFewPoints(f"k={k} exceeds point count n={n}")
     weights = None if beta is None else edge_weights(sobel_magnitude(image), beta).values
     result = _lloyd(_DistinctPoints(np.arange(256.0).reshape(-1, 1), image.pixels.ravel(), weights), config)
     labels = result.assignment.member_of.reshape(image.height, image.width)

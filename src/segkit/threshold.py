@@ -32,7 +32,8 @@ class Histogram:
         c = np.asarray(self.counts)
         if c.shape != (BINS,):
             raise PreconditionError("histogram needs exactly 256 bins")
-        if not np.isfinite(c.astype(np.float64)).all():  # object arrays of ints too
+        # elementwise, so object arrays of ints past the float range pass
+        if (c != c).any() or (abs(c) == np.inf).any():
             raise PreconditionError("counts must be finite")
         if c.min() < 0:
             raise PreconditionError("counts must be nonnegative")

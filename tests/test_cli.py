@@ -490,6 +490,14 @@ class TestParameterErrors:
         assert code == 3 and err and not stdout
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", [["kmeans"], ["edge", "--beta", "nan"]])
+    def test_k_above_pixel_count_reported_first(self, tmp_path, method):
+        image = tmp_path / "tiny.pgm"
+        write_pgm(image, np.arange(16, dtype=np.uint8).reshape(4, 4))
+        argv = ["segment", "--method", *method, "--k", "100", str(image), str(tmp_path / "o.pgm")]
+        code, stdout, err = invoke(argv)
+        assert (code, stdout, err) == (3, "", "segkit: k=100 exceeds point count n=16\n")
+
     def test_valley_adjacent_peaks_exits_3(self, tmp_path):
         # the only two maxima are neighbors, with no bin between them
         src = tmp_path / "two-levels.pgm"

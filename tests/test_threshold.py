@@ -207,13 +207,20 @@ class TestOtsuThreshold:
 
 
 class TestHistogram:
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_rejected(self, bad):
-        counts = np.zeros(256)
-        counts[[40, 200]] = 50.0
+    @pytest.mark.parametrize("dtype", [np.float64, object])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad, dtype):
+        counts = np.zeros(256, dtype=dtype)
+        counts[[40, 200]] = 50
         counts[120] = bad
         with pytest.raises(PreconditionError):
             Histogram(counts)
+
+    def test_object_int_counts_past_float_range_accepted(self):
+        counts = np.zeros(256, dtype=object)
+        counts[40] = 10**400
+        counts[200] = 7
+        assert Histogram(counts).counts[40] == 10**400
 
 
 class TestBinarize:
