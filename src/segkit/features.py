@@ -44,7 +44,8 @@ DEFAULT_WINDOW = 9
 _NORMALIZATION_TOL = 1e-9
 
 # Entries per temporary array of one block of window counts or distances
-# (1 MB at 8 bytes each), so memory does not grow with the image.
+# (1 MB at 8 bytes each), so memory does not grow with the image; the
+# samples of one pixel's window, at most raster.MAX_WINDOW**2, fit one block.
 _BLOCK_ELEMENTS = 1 << 17
 
 

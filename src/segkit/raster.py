@@ -16,9 +16,11 @@ from .errors import BadMagic, EvenWindow, PreconditionError, TruncatedData, Unsu
 
 UNLABELED = -1
 
-# Largest window (2 * radius + 1) accepted: it keeps the padded int64 buffer
-# of an image under 2**28 px a side below numpy's 2**63-byte array limit.
-MAX_WINDOW = (1 << 29) - 1
+# Largest window (2 * radius + 1) accepted. Its padding adds at most 360 px
+# to each side of a raster, and one pixel's 361**2 window samples fit one
+# 2**17-entry block of window classification, so a window adds bounded
+# memory whatever the image; a larger one is refused before any padding.
+MAX_WINDOW = 361
 
 
 def _exact_cast(values, dtype: type) -> np.ndarray:

@@ -9,9 +9,16 @@ score the scan stops. The pruned search returns exactly what the
 exhaustive scan returns, ids, order, and scores included.
 
 The index text is canonical: decode_index accepts exactly what
-encode_index writes, so every decoded record keeps the line it was read
-from and encoding a decoded index joins those lines without formatting any
-record again.
+encode_index writes. It checks and parses all record lines at once, and
+only when that fails reads the lines one at a time to name the first bad
+one. A decoded index holds its records as columns: a read-only (n, dim)
+int64 counts matrix, and the totals, paths, descriptions and encoded lines.
+Encoding joins the kept lines, and ingest appends a record after the
+columns, so neither builds an ImageRecord per line; Index.records builds
+them on first access, and callers may then mutate that list. Search reads
+a table of the records' columns and pivot distances, derived on first
+search and rebuilt once the record list has changed, and scores bounded
+blocks of rows as one matrix.
 
 An index supports one writer or many concurrent readers; searches are
 read-only, ingest needs exclusive access.
@@ -19,10 +26,12 @@ read-only, ingest needs exclusive access.
 
 from __future__ import annotations
 
-import heapq
+import bisect
+import functools
 import operator
+import re
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +46,10 @@ _HEADER_TAG = "SEGIDX"
 # sum are below 1e-11; this margin keeps pruning decisions on the safe side
 # of any such error without measurably weakening the prune.
 _PRUNE_MARGIN = 1e-9
+
+# Rows scored at once: bounds each search temporary to _BLOCK_ROWS * dim
+# entries, and the rows a pruned search scores past its stop.
+_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -91,17 +104,113 @@ class ImageRecord:
         return FeatureVector(self._bins)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
+class _Columns:
+    """Checked records as columns, in index order: int64 ids, a read-only
+    (n, dim) int64 counts matrix, and the totals, paths, descriptions and
+    encoded lines."""
+
+    ids: np.ndarray
+    counts: np.ndarray
+    totals: list[int]
+    paths: list[str]
+    descriptions: list[str]
+    lines: list[str]
+
+    @classmethod
+    def of(cls, records: Sequence[ImageRecord]) -> _Columns:
+        return cls(
+            np.array([r.id for r in records], dtype=np.int64), np.stack([r.counts for r in records]),
+            [r.total for r in records], [r.path for r in records],
+            [r.description for r in records], [r._line for r in records],
+        )
+
+    @functools.cached_property
+    def divisors(self) -> np.ndarray:
+        """The totals as an (n, 1) int64 column."""
+        return np.array(self.totals, dtype=np.int64)[:, None]
+
+    @functools.cached_property
+    def pivots(self) -> np.ndarray:
+        """Pivot distances, a block of rows at a time to bound the temporaries."""
+        blocks = range(0, len(self.totals), _BLOCK_ROWS)
+        return np.concatenate([
+            _pivot_distances(self.counts[s : s + _BLOCK_ROWS], self.totals[s : s + _BLOCK_ROWS])
+            for s in blocks
+        ])
+
+    def scores(self, rows, qbins: np.ndarray) -> np.ndarray:
+        """Histogram intersection of the query with each given row (a slice
+        or an index array): the same float operations as one record's
+        np.minimum(bins, qbins).sum(), row by row."""
+        bins = self.counts[rows] / self.divisors[rows]
+        return np.minimum(bins, qbins, out=bins).sum(axis=1)
+
+    def records(self) -> list[ImageRecord]:
+        bins = self.counts / self.divisors
+        bins.flags.writeable = False
+        columns = zip(
+            bins, self.pivots.tolist(), self.lines, self.ids.tolist(), self.paths,
+            self.descriptions, self.counts, self.totals,
+        )
+        return [
+            ImageRecord._checked(b, p, line, id=i, path=path, description=desc, counts=c, total=t)
+            for b, p, line, i, path, desc, c, t in columns
+        ]
+
+
 class Index:
     """Ordered image records sharing one feature dimension.
 
     feature_dim is None until the first ingest fixes it (serialized as 0
     while the index is empty).
+
+    records is a plain list that callers may append to, replace items of,
+    or copy into another Index. A decoded index holds its records as
+    columns and builds that list on first access; the search table derived
+    from the records is rebuilt whenever the list no longer holds the very
+    record objects it was built from.
     """
 
-    feature_dim: int | None = None
-    records: list[ImageRecord] = field(default_factory=list)
-    version: int = FORMAT_VERSION
+    def __init__(self, feature_dim: int | None = None, records: list[ImageRecord] | None = None,
+                 version: int = FORMAT_VERSION):
+        self.feature_dim = feature_dim
+        self.version = version
+        # (decoded records as columns, until records is read; the records
+        # after them), replaced as one value so that concurrent readers each
+        # see a consistent pair
+        self._parts: tuple[_Columns | None, list[ImageRecord]] = (None, [] if records is None else records)
+        self._cache: tuple[_Columns | None, list[ImageRecord], _Columns] | None = None
+
+    @property
+    def records(self) -> list[ImageRecord]:
+        head, tail = self._parts
+        if head is not None:
+            tail = head.records() + tail
+            self._parts = (None, tail)
+        return tail
+
+    @records.setter
+    def records(self, records: list[ImageRecord]) -> None:
+        self._parts = (None, records)
+
+    def _size(self) -> int:
+        head, tail = self._parts
+        return len(tail) + (0 if head is None else len(head.lines))
+
+    def _table(self) -> _Columns:
+        """The search table: the decoded columns while no record has been
+        added, else columns of the record list, rebuilt once the list stops
+        holding the very objects it was built from (pointer compares)."""
+        head, tail = self._parts
+        if head is not None and tail:
+            head, tail = None, self.records
+        cached = self._cache
+        if cached is None or cached[0] is not head or len(cached[1]) != len(tail) or not all(
+            map(operator.is_, cached[1], tail)
+        ):
+            self._cache = cached = (head, list(tail), head if head is not None else _Columns.of(tail))
+        return cached[2]
 
 
 @dataclass(frozen=True)
@@ -172,21 +281,22 @@ def ingest(index: Index, image: GrayImage | RgbImage, description: str, path: st
             f"index holds {index.feature_dim}-dim features, image yields {counts.size}"
         )
     rec = ImageRecord(
-        id=len(index.records),
+        id=index._size(),
         path=path,
         description=description,
         counts=counts,
         total=total,
     )
-    index.records.append(rec)
+    index._parts[1].append(rec)  # after any decoded columns, which stay columns
     return rec.id
 
 
-def _query_bins(index: Index, query: FeatureVector, top: int) -> np.ndarray:
-    """The query's bins, after checking top, the index and the query."""
+def _query_table(index: Index, query: FeatureVector, top: int) -> tuple[_Columns, np.ndarray]:
+    """The index's search table and the query's bins, after checking top,
+    the index and the query."""
     if top < 1:
         raise PreconditionError("top must be >= 1")
-    if not index.records:
+    if not index._size():
         raise EmptyIndex("index holds no records")
     if not query.normalized:
         raise PreconditionError("query feature must be normalized")
@@ -194,23 +304,26 @@ def _query_bins(index: Index, query: FeatureVector, top: int) -> np.ndarray:
         raise DimensionMismatch(
             f"query dimension {query.dimension} != index dimension {index.feature_dim}"
         )
-    return query.bins
+    return index._table(), query.bins
 
 
-def _score(record: ImageRecord, qbins: np.ndarray) -> float:
-    return float(np.minimum(record._bins, qbins).sum())
-
-
-def _ranked(record: ImageRecord, score: float) -> RankedResult:
-    return RankedResult(id=record.id, score=score, path=record.path, description=record.description)
+def _best(table: _Columns, rows: np.ndarray, scores: np.ndarray, top: int) -> list[RankedResult]:
+    """The top of the given rows by score, higher first, ties to lower ids."""
+    ranked = np.lexsort((table.ids[rows], -scores))[:top]
+    return [
+        RankedResult(int(table.ids[row]), float(score), table.paths[row], table.descriptions[row])
+        for row, score in zip(rows[ranked], scores[ranked])
+    ]
 
 
 def search_exhaustive(index: Index, query: FeatureVector, top: int) -> list[RankedResult]:
     """Score every record; return the best min(top, n), ties to lower ids."""
-    qbins = _query_bins(index, query, top)
-    scored = [(_score(r, qbins), r) for r in index.records]
-    scored.sort(key=lambda sr: (-sr[0], sr[1].id))
-    return [_ranked(r, s) for s, r in scored[:top]]
+    table, qbins = _query_table(index, query, top)
+    n = len(table.ids)
+    scores = np.concatenate(
+        [table.scores(slice(s, s + _BLOCK_ROWS), qbins) for s in range(0, n, _BLOCK_ROWS)]
+    )
+    return _best(table, np.arange(n), scores, top)
 
 
 def search_optimized(
@@ -218,39 +331,47 @@ def search_optimized(
 ) -> tuple[list[RankedResult], int]:
     """Exactly search_exhaustive's results, touching fewer records.
 
-    Candidates are scanned in ascending |pivot_distance - dq| order. The
-    triangle inequality caps a candidate's score at
+    Candidates are scanned in ascending (|pivot_distance - dq|, id) order.
+    The triangle inequality caps a candidate's score at
     1 - |pivot_distance - dq| / 2; once that cap (plus a rounding-safety
     margin) drops below the k-th best score so far, every remaining
-    candidate is provably worse and the scan stops. Returns the ranked
-    results and how many records had their bins examined.
+    candidate is provably worse and the scan stops. Candidates are scored a
+    block of rows at a time, and the stop is found within the block.
+    Returns the ranked results and how many records a one-at-a-time scan
+    examines before it stops.
     """
-    qbins = _query_bins(index, query, top)
+    table, qbins = _query_table(index, query, top)
     dim = index.feature_dim
     qtotal_scaled = qbins * dim  # query scaled so pivot bins are exactly 1
     dq = float(np.abs(qtotal_scaled - 1.0).sum() / dim)
 
-    order = sorted(index.records, key=lambda r: (abs(r.pivot_distance - dq), r.id))
-    # min-heap of (score, -id): the root is the weakest member under the
-    # "higher score first, lower id breaks ties" ranking
-    best: list[tuple[float, int]] = []
-    examined = 0
-    for rec in order:
-        if len(best) >= top:
-            tau = best[0][0]
-            cap = 1.0 - abs(rec.pivot_distance - dq) / 2.0
-            if cap + _PRUNE_MARGIN < tau:
-                break  # bounds only grow from here on
-        score = _score(rec, qbins)
-        examined += 1
-        item = (score, -rec.id)
-        if len(best) < top:
-            heapq.heappush(best, item)
-        elif item > best[0]:
-            heapq.heapreplace(best, item)
-    by_rank = sorted(best, key=lambda si: (-si[0], -si[1]))
-    # ingest and decode_index keep id == position
-    return [_ranked(index.records[-ni], s) for s, ni in by_rank], examined
+    gaps = np.abs(table.pivots - dq)
+    order = np.lexsort((table.ids, gaps))
+    caps = 1.0 - gaps[order] / 2.0
+    scores = np.empty(order.size)  # of the candidates in scan order
+    best = scores[:0]  # the top highest scores of the candidates before the block
+    start = 0
+
+    def pruned(j: int) -> bool:
+        """The stop test before candidate j: a full top, and a cap below
+        its k-th best score. Once true it stays true, as caps only fall and
+        the k-th best only rises."""
+        if j < top:
+            return False
+        seen = np.concatenate((best, scores[start:j]))
+        return bool(caps[j] + _PRUNE_MARGIN < np.partition(seen, seen.size - top)[seen.size - top])
+
+    examined = order.size
+    for start in range(0, order.size, _BLOCK_ROWS):
+        end = min(start + _BLOCK_ROWS, order.size)
+        scores[start:end] = table.scores(order[start:end], qbins)
+        if pruned(end - 1):
+            examined = start + bisect.bisect_left(range(start, end), True, key=pruned)
+            break
+        best = np.concatenate((best, scores[start:end]))
+        if best.size > top:
+            best = np.partition(best, best.size - top)[best.size - top :]
+    return _best(table, order[:examined], scores[:examined], top), examined
 
 
 def escape_field(text: str) -> str:
@@ -296,50 +417,15 @@ def encode_index(index: Index) -> str:
     formatted when the record was made or read, so this only joins them.
     """
     dim = index.feature_dim if index.feature_dim is not None else 0
-    lines = [f"{_HEADER_TAG}\t{index.version}\t{dim}", *(rec._line for rec in index.records)]
+    head, tail = index._parts
+    lines = [f"{_HEADER_TAG}\t{index.version}\t{dim}", *(head.lines if head is not None else ()),
+             *(r._line for r in tail)]
     return "\n".join(lines) + "\n"
 
 
 # encode_index writes every count below 2**63 / 64 < 10**18
 _MAX_DIGITS = 18
-
-
-def _find(mask: np.ndarray) -> int:
-    """Index of the first True in mask, or -1 as str.find has it."""
-    return int(mask.argmax()) if mask.any() else -1
-
-
-def _count_grammar_fault(fields: Sequence[str]) -> tuple[int, str] | None:
-    """The first count field that breaks the form encode_index writes,
-    counts of 1 to _MAX_DIGITS ASCII digits without a leading zero joined
-    by commas, with the reason; None when every field conforms."""
-    # every field between two commas
-    text = ",".join(["", *fields, ""])
-    # one byte per character: a non-ASCII character becomes "?", a stray byte
-    buf = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
-    comma = buf == ord(",")
-    stray = buf - np.uint8(ord("0")) > 9  # bytes below "0" wrap around
-    stray &= ~comma
-    # the comma before a count of two or more digits that starts with "0"
-    padded = comma[:-2] & (buf[1:-1] == ord("0")) & ~comma[2:]
-    # runs of _MAX_DIGITS + 1 non-commas: run[i] covers buf[i : i + width]
-    run, width = ~comma, 1
-    while width <= _MAX_DIGITS:
-        step = min(width, _MAX_DIGITS + 1 - width)
-        run = run[:-step] & run[step:]
-        width += step
-    # the first byte of each defect: a stray byte, the first of too many
-    # digits, or the comma before an empty or a zero-padded count
-    hits = [pos for pos in (_find(stray), _find(run), text.find(",,"), _find(padded)) if pos >= 0]
-    if not hits:
-        return None
-    pos = min(hits)
-    # the comma after field r is at ends[r]
-    ends = np.cumsum([len(f) + 1 for f in fields])
-    row = int(np.searchsorted(ends, pos, side="right"))
-    begin = text.rfind(",", 0, pos + 1) + 1
-    count = text[begin : text.find(",", begin)]
-    return row, f"count {count!r} is not 1 to {_MAX_DIGITS} ASCII digits without a leading zero"
+_COUNT = re.compile(rf"0|[1-9][0-9]{{0,{_MAX_DIGITS - 1}}}")
 
 
 def _decimal(text: str) -> int:
@@ -351,6 +437,95 @@ def _decimal(text: str) -> int:
     return value
 
 
+def _parse_counts(fields: Sequence[str], dim: int) -> np.ndarray | None:
+    """The (len(fields), dim) int64 counts of count fields that each hold
+    dim counts, ASCII digits without a leading zero, joined by commas; None
+    when any field breaks that form. A count past int64 reads as 2**63 - 1,
+    and a count of more than 18 digits exceeds any total that
+    _record_fault accepts."""
+    text = ",".join(fields)
+    if not text.isascii():
+        return None
+    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    comma = buf == ord(",")
+    n = len(fields) * dim
+    # only digits and commas, n - 1 commas, none leading, trailing or doubled:
+    # exactly n counts, each a nonempty run of digits
+    if (
+        np.count_nonzero(comma) != n - 1
+        or comma[0]
+        or comma[-1]
+        or (comma[1:] & comma[:-1]).any()
+        or ((buf - np.uint8(ord("0")) > 9) & ~comma).any()
+    ):
+        return None
+    counts = np.fromstring(text, dtype=np.int64, count=n, sep=",").reshape(-1, dim)
+    # A count never has more canonical digits than its run has bytes, and
+    # has as many only without a leading zero. So when every row's canonical
+    # digits plus its dim - 1 commas add up to its field's length, no count
+    # is zero-padded and each field holds exactly its row's dim counts.
+    lengths = np.full(len(fields), dim + dim - 1)  # one digit per count, and the commas
+    power, high = 10, int(counts.max())
+    while power <= high:
+        lengths += np.count_nonzero(counts >= power, axis=1)
+        power *= 10
+    if not np.array_equal(lengths, list(map(len, fields))):
+        return None
+    counts.flags.writeable = False
+    return counts
+
+
+def _parse_records(lines: list[str], dim: int) -> _Columns | None:
+    """The records of lines as encode_index writes them, checked in bulk;
+    None when any line breaks the format or an ImageRecord invariant."""
+    parts = [line.split("\t") for line in lines]
+    if set(map(len, parts)) != {5}:
+        return None
+    ids, total_fields, count_fields, path_fields, description_fields = zip(*parts)
+    if ids != tuple(map(str, range(len(lines)))):
+        return None
+    try:
+        totals = list(map(int, total_fields))
+        paths = list(map(unescape_field, path_fields))
+        descriptions = list(map(unescape_field, description_fields))
+    except ValueError:
+        return None
+    if tuple(map(str, totals)) != total_fields:
+        return None
+    counts = _parse_counts(count_fields, dim)
+    if counts is None or _record_fault(counts, totals, descriptions) is not None:
+        return None
+    return _Columns(np.arange(len(lines)), counts, totals, paths, descriptions, lines)
+
+
+def _line_fault(row: int, line: str, dim: int) -> str | None:
+    """Why the record line at row breaks the format, by the first check it
+    fails in reading order (fields, id, total, path, description, counts,
+    then the record); None when it holds. With dim 0, a line that parses
+    raises BadHeader."""
+    parts = line.split("\t")
+    if len(parts) != 5:
+        return f"expected 5 fields, got {len(parts)}"
+    try:
+        rec_id, total = _decimal(parts[0]), _decimal(parts[1])
+        unescape_field(parts[3])
+        description = unescape_field(parts[4])
+    except ValueError as exc:
+        return str(exc)
+    counts = parts[2].split(",")
+    bad = next((c for c in counts if not _COUNT.fullmatch(c)), None)
+    if bad is not None:
+        return f"count {bad!r} is not 1 to {_MAX_DIGITS} ASCII digits without a leading zero"
+    if dim == 0:
+        raise BadHeader("records present but feature dimension is 0")
+    if rec_id != row:
+        return f"expected id {row}, got {rec_id}"
+    if len(counts) != dim:
+        return f"{len(counts)} counts, expected {dim}"
+    fault = _record_fault(np.array([[int(c) for c in counts]], dtype=np.int64), [total], [description])
+    return None if fault is None else fault[1]
+
+
 def decode_index(text: str) -> Index:
     """Parse encode_index output; raises BadHeader or BadRecord (with the
     offending line number).
@@ -358,8 +533,9 @@ def decode_index(text: str) -> Index:
     Only text that encode_index writes is accepted: header fields, ids and
     totals are plain decimals, counts are 1 to 18 ASCII digits without a
     leading zero, comma-separated, feature_dim of them per record, and the
-    text ends in a newline. Counts are parsed and checked for all records
-    at once, and each record keeps its line for encode_index.
+    text ends in a newline. All record lines are split, checked and parsed
+    at once; the index keeps them as columns, with each record's line for
+    encode_index.
     """
     lines = text.split("\n")
     terminated = lines[-1] == ""
@@ -381,70 +557,16 @@ def decode_index(text: str) -> Index:
     if len(lines) == 1 and not terminated:
         raise BadHeader("header line without a final newline")
     index = Index(feature_dim=None if dim == 0 else dim)
-
-    # (row, reason) of the first failing row of each check. A check only
-    # looks at the rows before the faults found so far, so the smallest row
-    # is the first line that fails any check, as a line-by-line parse finds it
-    faults: list[tuple[int, str]] = []
-    fields = []
-    for row, line in enumerate(lines[1:]):
-        parts = line.split("\t")
-        if len(parts) != 5:
-            faults.append((row, f"expected 5 fields, got {len(parts)}"))
-            break
-        try:
-            fields.append(
-                (_decimal(parts[0]), _decimal(parts[1]), parts[2],
-                 unescape_field(parts[3]), unescape_field(parts[4]))
-            )
-        except ValueError as exc:
-            faults.append((row, str(exc)))
-            break
-    ids, totals, count_fields, paths, descriptions = list(zip(*fields)) or [()] * 5
-    if fields:
-        grammar_fault = _count_grammar_fault(count_fields)
-        if grammar_fault is not None:
-            faults.append(grammar_fault)
-
-    def clean_rows() -> int:
-        return min((row for row, _ in faults), default=len(fields))
-
-    if dim == 0 and len(lines) > 1:
-        # the dimension is checked once the first record has parsed
-        if clean_rows() > 0:
-            raise BadHeader("records present but feature dimension is 0")
-    else:
-        for row in range(clean_rows()):
-            if ids[row] != row:
-                faults.append((row, f"expected id {row}, got {ids[row]}"))
-                break
-            commas = count_fields[row].count(",")
-            if commas != dim - 1:
-                faults.append((row, f"{commas + 1} counts, expected {dim}"))
-                break
-        # every clean row holds dim counts of 1 to _MAX_DIGITS digits
-        clean = clean_rows()
-        if clean:
-            counts = np.fromstring(
-                ",".join(count_fields[:clean]), dtype=np.int64, count=clean * dim, sep=","
-            ).reshape(clean, dim)
-            record_fault = _record_fault(counts, totals[:clean], descriptions[:clean])
-            if record_fault is not None:
-                faults.append(record_fault)
-    if not terminated:
-        faults.append((len(lines) - 2, "missing final newline"))
-    if faults:
-        row, reason = min(faults, key=lambda fault: fault[0])
-        raise BadRecord(f"line {row + 2}: {reason}")
-    if fields:
-        pivots = _pivot_distances(counts, totals)
-        bins = counts / np.array(totals)[:, None]
-        counts.flags.writeable = bins.flags.writeable = False  # rows are the records' views
-        index.records = [
-            ImageRecord._checked(
-                bins[i], pivots[i], lines[i + 1], id=i, path=paths[i], description=descriptions[i],
-                counts=counts[i], total=totals[i],
-            )
-            for i in range(len(fields))
-        ]
+    records = lines[1:]
+    head = _parse_records(records, dim) if records and dim and terminated else None
+    if records and head is None:
+        # the first line that fails a check, as a line-by-line parse finds it
+        for row, line in enumerate(records):
+            reason = _line_fault(row, line, dim)
+            if reason is not None:
+                raise BadRecord(f"line {row + 2}: {reason}")
+        if terminated:
+            raise AssertionError("the bulk checks rejected record lines that each hold")
+        raise BadRecord(f"line {len(lines)}: missing final newline")
+    index._parts = (head, [])
     return index

@@ -1,19 +1,25 @@
-"""Reference index codec: per-line decoding and per-element encoding.
+"""Reference index codec and search: per-line decoding, per-element
+encoding, and record-at-a-time scoring.
 
 These are the straightforward implementations that segkit.retrieval
-replaced with a codec working on all records at once; the tests compare the
-two for byte-identical encodings, equal records and the same error lines.
+replaced with a codec working on all records at once and a search scoring
+blocks of rows as one matrix; the tests compare the two for byte-identical
+encodings, equal records, the same error lines, and equal rankings.
 """
 
 from __future__ import annotations
+
+import heapq
 
 import numpy as np
 
 from segkit.errors import BadHeader, BadRecord
 from segkit.retrieval import (
+    _PRUNE_MARGIN,
     FORMAT_VERSION,
     ImageRecord,
     Index,
+    RankedResult,
     escape_field,
     unescape_field,
 )
@@ -84,3 +90,40 @@ def decode_index(text: str) -> Index:
             raise BadRecord(f"line {lineno}: {exc}") from None
         index.records.append(rec)
     return index
+
+
+def score(rec: ImageRecord, qbins: np.ndarray) -> float:
+    return float(np.minimum(rec.counts / rec.total, qbins).sum())
+
+
+def _ranked(rec: ImageRecord, score: float) -> RankedResult:
+    return RankedResult(id=rec.id, score=score, path=rec.path, description=rec.description)
+
+
+def search_exhaustive(records: list[ImageRecord], qbins: np.ndarray, top: int) -> list[RankedResult]:
+    scored = sorted(((score(r, qbins), r) for r in records), key=lambda sr: (-sr[0], sr[1].id))
+    return [_ranked(r, s) for s, r in scored[:top]]
+
+
+def search_optimized(
+    records: list[ImageRecord], qbins: np.ndarray, top: int
+) -> tuple[list[RankedResult], int]:
+    """One record at a time in ascending (|pivot gap|, id) order, stopping
+    once the triangle-inequality cap plus the margin falls below the k-th
+    best score; returns the results and the records examined."""
+    dim = qbins.size
+    dq = float(np.abs(qbins * dim - 1.0).sum() / dim)
+    best: list[tuple[float, int, ImageRecord]] = []  # min-heap of (score, -id, record)
+    examined = 0
+    gaps = {rec.id: abs(pivot_distance(rec.counts, rec.total) - dq) for rec in records}
+    for rec in sorted(records, key=lambda r: (gaps[r.id], r.id)):
+        if len(best) >= top and 1.0 - gaps[rec.id] / 2.0 + _PRUNE_MARGIN < best[0][0]:
+            break
+        examined += 1
+        item = (score(rec, qbins), -rec.id, rec)
+        if len(best) < top:
+            heapq.heappush(best, item)
+        elif item[:2] > best[0][:2]:
+            heapq.heapreplace(best, item)
+    by_rank = sorted(best, key=lambda item: (-item[0], -item[1]))
+    return [_ranked(rec, s) for s, _, rec in by_rank], examined

@@ -490,6 +490,27 @@ class TestParameterErrors:
         assert code == 3 and err and not stdout
         assert not out.exists()
 
+    TWO_EXEMPLARS = ["--method", "windows", "--exemplar", "0:{image}", "--exemplar", "1:{image}"]
+
+    @pytest.mark.parametrize("argv,code", [
+        # padded for these, a 4x4 image would take 256 PiB
+        pytest.param([*TWO_EXEMPLARS, "--window", str(2**29 - 1)], 3, id="window-2**29-1"),
+        pytest.param(["--method", "region", "--smooth-radius", str(2**28 - 1)], 3,
+                     id="smooth-radius-2**28-1"),
+        pytest.param([*TWO_EXEMPLARS, "--window", "363"], 3, id="window-363"),
+        pytest.param(["--method", "region", "--smooth-radius", "181"], 3, id="smooth-radius-181"),
+        pytest.param([*TWO_EXEMPLARS, "--window", "361"], 0, id="window-361"),
+        pytest.param(["--method", "region", "--smooth-radius", "180"], 0, id="smooth-radius-180"),
+    ])
+    def test_window_far_beyond_a_tiny_image(self, tmp_path, argv, code):
+        image = tmp_path / "tiny.pgm"
+        write_pgm(image, np.arange(0, 256, 16, dtype=np.uint8).reshape(4, 4))
+        out = tmp_path / "o.pgm"
+        argv = ["segment", *(a.format(image=image) for a in argv), str(image), str(out)]
+        got, stdout, err = invoke(argv)
+        assert got == code
+        assert (bool(stdout), bool(err), out.exists()) == ((True, False, True) if code == 0 else (False, True, False))
+
     @pytest.mark.parametrize("method", [["kmeans"], ["edge", "--beta", "nan"]])
     def test_k_above_pixel_count_reported_first(self, tmp_path, method):
         image = tmp_path / "tiny.pgm"

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from segkit.retrieval import (
     similarity,
 )
 
+import index_oracle as oracle
 from fixture_builders import clustered_records, lcg_bytes
 
 
@@ -186,11 +190,94 @@ class TestSearchExhaustive:
             search_exhaustive(Index(feature_dim=4), feature([1, 0, 0, 0]), top=1)
 
 
+class TestRecordListChanges:
+    """Searches keep a table derived from the record list; a change to the
+    list after a search shows in the next search and in encode_index."""
+
+    QUERY = feature(np.eye(64)[5])
+
+    def assert_current(self, idx):
+        for top in (1, 3, 9):
+            want = oracle.search_exhaustive(idx.records, self.QUERY.bins, top)
+            assert search_exhaustive(idx, self.QUERY, top) == want
+            assert search_optimized(idx, self.QUERY, top)[0] == want
+        assert encode_index(idx) == oracle.encode_index(idx)
+
+    def top_ids(self, idx, top):
+        return [r.id for r in search_optimized(idx, self.QUERY, top)[0]]
+
+    @pytest.mark.parametrize("source", ["constructed", "decoded"])
+    def test_append_replace_and_copy(self, source):
+        idx = index_from_counts([np.eye(64, dtype=np.int64)[level] * 4 for level in range(4)])
+        if source == "decoded":
+            idx = decode_index(encode_index(idx))
+        self.assert_current(idx)
+        idx.records.append(record_from_counts(4, np.eye(64, dtype=np.int64)[5], path="appended"))
+        self.assert_current(idx)
+        assert self.top_ids(idx, 1) == [4]
+        idx.records[1] = record_from_counts(1, np.eye(64, dtype=np.int64)[5] * 2, path="replaced")
+        self.assert_current(idx)
+        assert self.top_ids(idx, 2) == [1, 4]
+        copy = Index(feature_dim=64, records=list(idx.records))
+        copy.records[0] = record_from_counts(0, np.eye(64, dtype=np.int64)[5] * 3, path="copied")
+        self.assert_current(copy)
+        self.assert_current(idx)
+        assert self.top_ids(copy, 3) == [0, 1, 4] and self.top_ids(idx, 3) == [1, 4, 0]
+
+
+    def test_concurrent_first_reads_of_a_decoded_index_agree(self):
+        # readers may race to build the record list and the search table
+        counts = clustered_records(n=200, dim=64)
+        text = encode_index(index_from_counts(counts))
+        query = FeatureVector(counts[3] / counts[3].sum())
+        want = search_exhaustive(decode_index(text), query, 5)
+        reads = (
+            lambda idx: len(idx.records) == 200,
+            lambda idx: encode_index(idx) == text,
+            lambda idx: search_optimized(idx, query, 5)[0] == want,
+            lambda idx: search_exhaustive(idx, query, 5) == want,
+        )
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(30):
+                idx = decode_index(text)
+                barrier = threading.Barrier(2 * len(reads))
+                results = []
+
+                def run(read):
+                    barrier.wait(timeout=30)
+                    results.append(read(idx))
+
+                threads = [threading.Thread(target=run, args=(read,)) for read in reads * 2]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert results == [True] * len(threads)
+                assert len(idx.records) == 200 and encode_index(idx) == text
+        finally:
+            sys.setswitchinterval(old)
+
+
 class TestSearchOptimized:
     def test_single_record(self):
         idx = index_from_counts([[2, 2]])
         results, examined = search_optimized(idx, feature([1.0, 0.0]), top=1)
         assert examined == 1 and results[0].id == 0
+
+    def test_ids_other_than_positions(self):
+        # a caller's records need not be numbered by position
+        idx = Index(feature_dim=4, records=[
+            record_from_counts(7, [2, 1, 1, 1], path="seven"),
+            record_from_counts(3, [1, 2, 1, 1], path="three"),
+            record_from_counts(5, [1, 2, 1, 1], path="five"),
+        ])
+        query = feature([0.4, 0.2, 0.2, 0.2])
+        want = search_exhaustive(idx, query, 3)
+        assert [(r.id, r.path) for r in want] == [(7, "seven"), (3, "three"), (5, "five")]
+        assert search_optimized(idx, query, 3)[0] == want
 
     def test_matches_exhaustive_on_random_inputs(self):
         rng = Lcg(777)
