@@ -31,6 +31,7 @@ from .raster import (
     RgbImage,
     boundary_mask,
     label_bounds,
+    pad_edge,
     require_odd_window,
     require_same_shape,
     window_sums,
@@ -44,8 +45,7 @@ DEFAULT_WINDOW = 9
 _NORMALIZATION_TOL = 1e-9
 
 # Entries per temporary array of one block of window counts or distances
-# (1 MB at 8 bytes each), so memory does not grow with the image; the
-# samples of one pixel's window, at most raster.MAX_WINDOW**2, fit one block.
+# (1 MB at 8 bytes each), so memory does not grow with the image.
 _BLOCK_ELEMENTS = 1 << 17
 
 
@@ -170,7 +170,7 @@ def classify_windows(
     labels_of = np.array([exemplars[i].label for i in order], dtype=np.int32)
 
     require_odd_window(window)
-    padded = np.pad(image.pixels, window // 2, mode="edge")
+    padded = pad_edge(image.pixels, window // 2)
     out = labels_of[_nearest_windows(padded, window, np.arange(image.pixels.size), feats)]
     k = int(labels_of.max()) + 1
     return LabelMap(labels=out.reshape(image.pixels.shape), k=k, complete=True)
@@ -197,7 +197,7 @@ def refine_boundaries(
     if iterations == 0:
         return LabelMap(labels=lab, k=k, complete=True)
     require_odd_window(window)
-    padded = np.pad(image.pixels, window // 2, mode="edge")
+    padded = pad_edge(image.pixels, window // 2)
     area = window * window
     flat = lab.ravel()  # a view: writes move lab
 

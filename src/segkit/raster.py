@@ -16,11 +16,15 @@ from .errors import BadMagic, EvenWindow, PreconditionError, TruncatedData, Unsu
 
 UNLABELED = -1
 
-# Largest window (2 * radius + 1) accepted. Its padding adds at most 360 px
-# to each side of a raster, and one pixel's 361**2 window samples fit one
-# 2**17-entry block of window classification, so a window adds bounded
-# memory whatever the image; a larger one is refused before any padding.
-MAX_WINDOW = 361
+# Largest window (2 * radius + 1) accepted: it keeps the padded int64 buffer
+# of an image under 2**28 px a side below numpy's 2**63-byte array limit.
+MAX_WINDOW = (1 << 29) - 1
+
+# A raster padded for a window may hold up to this many times the image's
+# pixels, or _PAD_FLOOR pixels where that is more, so that the padding, and
+# with it one pixel's window of samples, stays O(image).
+_PAD_FACTOR = 16
+_PAD_FLOOR = 1 << 20
 
 
 def _exact_cast(values, dtype: type) -> np.ndarray:
@@ -231,15 +235,26 @@ def window_sums(values: np.ndarray, window: int) -> np.ndarray:
 
 
 def box_smooth(image: GrayImage, radius: int) -> GrayImage:
-    """Mean filter over the (2r+1)^2 clamped window, rounded half up."""
+    """Mean filter over the (2r+1)^2 clamped window, rounded half up;
+    PreconditionError for a radius too large for the image (see pad_edge)."""
     if not 0 <= radius <= MAX_WINDOW // 2:
         raise PreconditionError(f"radius must be in [0, {MAX_WINDOW // 2}], got {radius}")
     if radius == 0:
         return GrayImage(image.pixels.copy())
     area = (2 * radius + 1) ** 2
-    sums = window_sums(np.pad(image.pixels, radius, mode="edge"), 2 * radius + 1)
+    sums = window_sums(pad_edge(image.pixels, radius), 2 * radius + 1)
     out = (2 * sums + area) // (2 * area)
     return GrayImage(out.astype(np.uint8))
+
+
+def pad_edge(pixels: np.ndarray, radius: int) -> np.ndarray:
+    """pixels with radius edge-replicated pixels added on every side.
+    Raises PreconditionError, before allocating, when the padded raster would
+    hold more than max(_PAD_FACTOR * h * w, _PAD_FLOOR) pixels."""
+    h, w = pixels.shape
+    if (h + 2 * radius) * (w + 2 * radius) > max(_PAD_FACTOR * h * w, _PAD_FLOOR):
+        raise PreconditionError(f"window radius {radius} is too large for a {w}x{h} image")
+    return np.pad(pixels, radius, mode="edge")
 
 
 def require_odd_window(window: int) -> None:

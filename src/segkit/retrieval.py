@@ -16,9 +16,10 @@ int64 counts matrix, and the totals, paths, descriptions and encoded lines.
 Encoding joins the kept lines, and ingest appends a record after the
 columns, so neither builds an ImageRecord per line; Index.records builds
 them on first access, and callers may then mutate that list. Search reads
-a table of the records' columns and pivot distances, derived on first
-search and rebuilt once the record list has changed, and scores bounded
-blocks of rows as one matrix.
+a table of the records' columns and pivot distances: the decoded columns,
+whose pivot distances are derived on first search, while no record has
+been added or read as an object, else columns built from the record list
+for that search. It scores bounded blocks of rows as one matrix.
 
 An index supports one writer or many concurrent readers; searches are
 read-only, ingest needs exclusive access.
@@ -167,9 +168,8 @@ class Index:
 
     records is a plain list that callers may append to, replace items of,
     or copy into another Index. A decoded index holds its records as
-    columns and builds that list on first access; the search table derived
-    from the records is rebuilt whenever the list no longer holds the very
-    record objects it was built from.
+    columns and builds that list on first access. Concurrent first reads
+    may each build a list; every read after them returns the stored one.
     """
 
     def __init__(self, feature_dim: int | None = None, records: list[ImageRecord] | None = None,
@@ -180,7 +180,6 @@ class Index:
         # after them), replaced as one value so that concurrent readers each
         # see a consistent pair
         self._parts: tuple[_Columns | None, list[ImageRecord]] = (None, [] if records is None else records)
-        self._cache: tuple[_Columns | None, list[ImageRecord], _Columns] | None = None
 
     @property
     def records(self) -> list[ImageRecord]:
@@ -199,18 +198,10 @@ class Index:
         return len(tail) + (0 if head is None else len(head.lines))
 
     def _table(self) -> _Columns:
-        """The search table: the decoded columns while no record has been
-        added, else columns of the record list, rebuilt once the list stops
-        holding the very objects it was built from (pointer compares)."""
+        """The search table: the decoded columns while they hold every
+        record, else columns of the record list, built for this search."""
         head, tail = self._parts
-        if head is not None and tail:
-            head, tail = None, self.records
-        cached = self._cache
-        if cached is None or cached[0] is not head or len(cached[1]) != len(tail) or not all(
-            map(operator.is_, cached[1], tail)
-        ):
-            self._cache = cached = (head, list(tail), head if head is not None else _Columns.of(tail))
-        return cached[2]
+        return head if head is not None and not tail else _Columns.of(self.records)
 
 
 @dataclass(frozen=True)

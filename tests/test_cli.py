@@ -492,19 +492,23 @@ class TestParameterErrors:
 
     TWO_EXEMPLARS = ["--method", "windows", "--exemplar", "0:{image}", "--exemplar", "1:{image}"]
 
-    @pytest.mark.parametrize("argv,code", [
+    @pytest.mark.parametrize("side,argv,code", [
         # padded for these, a 4x4 image would take 256 PiB
-        pytest.param([*TWO_EXEMPLARS, "--window", str(2**29 - 1)], 3, id="window-2**29-1"),
-        pytest.param(["--method", "region", "--smooth-radius", str(2**28 - 1)], 3,
+        pytest.param(4, [*TWO_EXEMPLARS, "--window", str(2**29 - 1)], 3, id="window-2**29-1"),
+        pytest.param(4, ["--method", "region", "--smooth-radius", str(2**28 - 1)], 3,
                      id="smooth-radius-2**28-1"),
-        pytest.param([*TWO_EXEMPLARS, "--window", "363"], 3, id="window-363"),
-        pytest.param(["--method", "region", "--smooth-radius", "181"], 3, id="smooth-radius-181"),
-        pytest.param([*TWO_EXEMPLARS, "--window", "361"], 0, id="window-361"),
-        pytest.param(["--method", "region", "--smooth-radius", "180"], 0, id="smooth-radius-180"),
+        # a padded raster may hold 2**20 px, or 16 times the image's where that is more
+        pytest.param(4, [*TWO_EXEMPLARS, "--window", "1023"], 3, id="window-1023"),
+        pytest.param(4, ["--method", "region", "--smooth-radius", "511"], 3, id="smooth-radius-511"),
+        pytest.param(4, [*TWO_EXEMPLARS, "--window", "1021"], 0, id="window-1021"),
+        pytest.param(4, ["--method", "region", "--smooth-radius", "510"], 0, id="smooth-radius-510"),
+        pytest.param(300, ["--method", "region", "--smooth-radius", "200"], 0, id="300px-smooth-radius-200"),
+        pytest.param(300, ["--method", "region", "--smooth-radius", "450"], 0, id="300px-smooth-radius-450"),
+        pytest.param(300, ["--method", "region", "--smooth-radius", "451"], 3, id="300px-smooth-radius-451"),
     ])
-    def test_window_far_beyond_a_tiny_image(self, tmp_path, argv, code):
-        image = tmp_path / "tiny.pgm"
-        write_pgm(image, np.arange(0, 256, 16, dtype=np.uint8).reshape(4, 4))
+    def test_window_beyond_the_image(self, tmp_path, side, argv, code):
+        image = tmp_path / "image.pgm"
+        write_pgm(image, (np.arange(side * side).reshape(side, side) * 16 % 256).astype(np.uint8))
         out = tmp_path / "o.pgm"
         argv = ["segment", *(a.format(image=image) for a in argv), str(image), str(out)]
         got, stdout, err = invoke(argv)

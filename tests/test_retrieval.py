@@ -226,7 +226,7 @@ class TestRecordListChanges:
 
 
     def test_concurrent_first_reads_of_a_decoded_index_agree(self):
-        # readers may race to build the record list and the search table
+        # readers may race to build the record list
         counts = clustered_records(n=200, dim=64)
         text = encode_index(index_from_counts(counts))
         query = FeatureVector(counts[3] / counts[3].sum())
