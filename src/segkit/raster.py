@@ -8,6 +8,7 @@ is a pure function of immutable inputs.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,15 @@ def _exact_cast(values, dtype: type) -> np.ndarray:
     if not ((a >= info.min) & (a <= info.max)).all() or not ((cast := a.astype(dtype)) == a).all():
         raise PreconditionError(f"{a.dtype} values do not convert to {info.dtype} exactly")
     return cast
+
+
+def require_int(value, name: str) -> int:
+    """value as a Python int, read through operator.index: PreconditionError
+    for a value that is not an integer (3.0 and 2.5 included)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise PreconditionError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -236,7 +246,9 @@ def window_sums(values: np.ndarray, window: int) -> np.ndarray:
 
 def box_smooth(image: GrayImage, radius: int) -> GrayImage:
     """Mean filter over the (2r+1)^2 clamped window, rounded half up;
-    PreconditionError for a radius too large for the image (see pad_edge)."""
+    PreconditionError for a radius that is not an integer (require_int) or
+    is too large for the image (see pad_edge)."""
+    radius = require_int(radius, "radius")
     if not 0 <= radius <= MAX_WINDOW // 2:
         raise PreconditionError(f"radius must be in [0, {MAX_WINDOW // 2}], got {radius}")
     if radius == 0:
@@ -257,13 +269,16 @@ def pad_edge(pixels: np.ndarray, radius: int) -> np.ndarray:
     return np.pad(pixels, radius, mode="edge")
 
 
-def require_odd_window(window: int) -> None:
-    """Raise EvenWindow unless window is an odd size >= 1, and
+def require_odd_window(window: int) -> int:
+    """window as a Python int. Raise PreconditionError unless it is an
+    integer (require_int), EvenWindow unless it is odd and >= 1, and
     PreconditionError when it exceeds MAX_WINDOW."""
+    window = require_int(window, "window")
     if window < 1 or window % 2 == 0:
         raise EvenWindow(f"window must be odd and >= 1, got {window}")
     if window > MAX_WINDOW:
         raise PreconditionError(f"window {window} exceeds {MAX_WINDOW}")
+    return window
 
 
 def boundary_mask(labels: np.ndarray) -> np.ndarray:

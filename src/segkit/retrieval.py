@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import operator
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -38,7 +37,7 @@ import numpy as np
 
 from .errors import BadHeader, BadRecord, DimensionMismatch, EmptyIndex, PreconditionError
 from .features import FeatureVector, global_feature_counts
-from .raster import GrayImage, RgbImage
+from .raster import GrayImage, RgbImage, require_int
 
 FORMAT_VERSION = 1
 _HEADER_TAG = "SEGIDX"
@@ -74,10 +73,8 @@ class ImageRecord:
             raise PreconditionError("counts must fit in int64") from None
         if c.ndim != 1:
             raise PreconditionError(_NONNEGATIVE)
-        try:  # a Python int, so total * dim cannot wrap as a numpy integer would
-            total = operator.index(self.total)
-        except TypeError:
-            raise PreconditionError(f"total must be an integer, got {self.total!r}") from None
+        # a Python int, so total * dim cannot wrap as a numpy integer would
+        total = require_int(self.total, "total")
         fault = _record_fault(c[None], [total], [self.description])
         if fault is not None:
             raise PreconditionError(fault[1])

@@ -70,7 +70,7 @@ def smooth_histogram(h: Histogram, window: int) -> Histogram:
     window//2 bins away from both ends; replication inflates mass that
     sits on the extreme bins for windows of 5 and up.
     """
-    require_odd_window(window)
+    window = require_odd_window(window)
     if window == 1:
         return Histogram(np.asarray(h.counts, dtype=np.float64).copy())
     r = window // 2

@@ -199,3 +199,45 @@ class TestGlobalFeature:
         a = global_feature(GrayImage(pix))
         b = global_feature(GrayImage(shuffled))
         assert np.array_equal(a.bins, b.bins)
+
+
+class TestIntegerArguments:
+    """Labels, windows, coordinates and iteration counts are read through
+    operator.index: a non-integer raises PreconditionError, never a numpy
+    TypeError or IndexError, and never truncates."""
+
+    def test_fractional_exemplar_label_rejected(self):
+        with pytest.raises(PreconditionError, match="label"):
+            Exemplar(1.5, delta_feature(0))
+
+    def test_integer_exemplar_label_normalized(self):
+        e = Exemplar(np.int64(2), delta_feature(0))
+        assert e.label == 2 and type(e.label) is int
+        labels = classify_windows(half_16x16(), [e], 3)
+        assert labels.k == 3 and (labels.labels == 2).all()
+
+    @pytest.mark.parametrize("window", [3.0, 2.5, "3", None])
+    def test_non_integer_window_rejected(self, window):
+        exemplars = [Exemplar(0, delta_feature(10)), Exemplar(1, delta_feature(200))]
+        with pytest.raises(PreconditionError, match="window"):
+            classify_windows(half_16x16(), exemplars, window)
+        labels = LabelMap(np.zeros((16, 16), dtype=np.int32), k=1)
+        with pytest.raises(PreconditionError, match="window"):
+            refine_boundaries(labels, half_16x16(), window, 1)
+        with pytest.raises(PreconditionError, match="window"):
+            local_histogram(half_16x16(), 1, 1, window)
+
+    def test_numpy_integer_window_accepted(self):
+        exemplars = [Exemplar(0, delta_feature(10)), Exemplar(1, delta_feature(200))]
+        a = classify_windows(half_16x16(), exemplars, np.int64(3))
+        assert np.array_equal(a.labels, classify_windows(half_16x16(), exemplars, 3).labels)
+
+    @pytest.mark.parametrize("x, y", [(1.5, 1), (1, 1.5), (1.0, 1)])
+    def test_non_integer_coordinate_rejected(self, x, y):
+        with pytest.raises(PreconditionError):
+            local_histogram(half_16x16(), x, y, 3)
+
+    def test_non_integer_iterations_rejected(self):
+        labels = LabelMap(np.zeros((16, 16), dtype=np.int32), k=1)
+        with pytest.raises(PreconditionError, match="iterations"):
+            refine_boundaries(labels, half_16x16(), 3, 1.5)

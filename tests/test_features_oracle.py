@@ -5,12 +5,20 @@ tensor: byte-identical label maps and equal k."""
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import features_oracle as oracle
-from segkit.features import Exemplar, FeatureVector, classify_windows, refine_boundaries
+from segkit.features import (
+    _STRIP,
+    Exemplar,
+    FeatureVector,
+    classify_windows,
+    local_histogram,
+    refine_boundaries,
+)
 from segkit.raster import GrayImage, LabelMap
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -124,3 +132,69 @@ def test_window_features_memory_stays_bounded():
         tracemalloc.stop()
     assert classify_peak < 32 << 20
     assert refine_peak < 32 << 20
+
+
+# Shapes that cross strips: classify_windows slides each row's window from
+# one dense anchor column per _STRIP columns.
+WIDE_SHAPES = st.one_of(
+    st.tuples(st.just(1), st.integers(1, 3 * _STRIP + 5)),
+    st.tuples(st.integers(1, 5), st.integers(_STRIP - 2, 3 * _STRIP + 5)),
+)
+
+
+@st.composite
+def strip_cases(draw):
+    """A strip-crossing image (any pixels, or a plateau of at most three
+    levels), two draws of exemplar_lists plus copies one ulp apart, in any
+    order, and an odd window from 1 to beyond the image's height."""
+    h, w = draw(WIDE_SHAPES)
+    window = 2 * draw(st.integers(0, max(h, 8) + 1)) + 1
+    if draw(st.booleans()):
+        image = GrayImage(draw(arrays(np.uint8, (h, w))))
+    else:
+        levels = np.array(draw(st.lists(st.integers(0, 255), min_size=1, max_size=3)), dtype=np.uint8)
+        image = GrayImage(levels[draw(arrays(np.uint8, (h, w), elements=st.integers(0, levels.size - 1)))])
+    exemplars = draw(exemplar_lists(image)) + draw(exemplar_lists(image))
+    for e in list(exemplars):
+        if draw(st.booleans()):
+            bins = e.feature.bins.copy()
+            v = draw(st.sampled_from(np.flatnonzero(bins).tolist()))
+            bins[v] = np.nextafter(bins[v], draw(st.sampled_from([0.0, 2.0])))
+            exemplars.append(Exemplar(draw(st.integers(0, 3)), FeatureVector(bins)))
+    exemplars = draw(st.permutations(exemplars))
+    return image, exemplars, window
+
+
+@PROPERTY
+@given(strip_cases())
+def test_classify_windows_across_strips_matches_tensor_oracle(case):
+    image, exemplars, window = case
+    assert same_labels(
+        classify_windows(image, exemplars, window), oracle.classify_windows(image, exemplars, window)
+    )
+
+
+@pytest.mark.parametrize("shape, window", [((4, 4), 1021), ((1, 1), 1023)])
+def test_largest_window_memory_stays_bounded(shape, window):
+    # the largest windows raster.pad_edge accepts for these images; a table
+    # of window**2 entries per pixel, or per pair of pixels, would not fit
+    rng = np.random.default_rng(11)
+    image = GrayImage(rng.integers(0, 256, shape, dtype=np.uint8))
+    exemplars = [Exemplar(0, FeatureVector(np.full(256, 1 / 256)))]
+    for label, level in ((1, 40), (2, 220)):
+        counts = np.zeros(256)
+        counts[level - 20 : level + 20] = 1
+        exemplars.append(Exemplar(label, FeatureVector(counts / counts.sum())))
+    tracemalloc.start()
+    try:
+        labels = classify_windows(image, exemplars, window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
+    feats = np.stack([e.feature.bins for e in exemplars])
+    expected = [
+        [np.argmin(np.abs(local_histogram(image, x, y, window).bins - feats).sum(axis=1)) for x in range(shape[1])]
+        for y in range(shape[0])
+    ]
+    assert labels.labels.tolist() == expected

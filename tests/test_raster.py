@@ -132,6 +132,11 @@ class TestBoxSmooth:
         assert out.pixels.min() >= img.pixels.min()
         assert out.pixels.max() <= img.pixels.max()
 
+    @pytest.mark.parametrize("radius", [1.0, 1.5, 0.0])
+    def test_non_integer_radius_rejected(self, radius):
+        with pytest.raises(PreconditionError, match="radius"):
+            box_smooth(GrayImage(np.zeros((4, 4), dtype=np.uint8)), radius)
+
 
 class TestSobelMagnitude:
     def test_constant_is_zero(self):

@@ -70,6 +70,11 @@ class TestSmoothHistogram:
         with pytest.raises(EvenWindow):
             smooth_histogram(hist_from_counts([(1, 1)]), 4)
 
+    @pytest.mark.parametrize("window", [3.0, 2.5])
+    def test_non_integer_window_rejected(self, window):
+        with pytest.raises(PreconditionError, match="window"):
+            smooth_histogram(hist_from_counts([(1, 1)]), window)
+
 
 def two_peak_fixture():
     counts = np.array(
