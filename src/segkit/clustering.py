@@ -10,15 +10,17 @@ edge-adaptive variant, which discounts pixels near strong edges when
 centers are recomputed.
 
 One Lloyd loop serves run_kmeans and segment_clustering. It runs over
-distinct points (rows), point i being row members[i]: distances and nearest
-centers are computed per row, while the SSE and the weighted center sums
-are accumulated per point.
-Unit-weight center sums are row value times multiplicity, which equals the
-point-order sum bit for bit only because the image levels are integers and
-every partial sum stays below 2**53.
+distinct points (rows), point i being row members[i]. Each row carries its
+multiplicity, its weight sum W_r and its center-sum addend W_r * x_r, so an
+iteration assigns, scores (sum_r W_r * ||x_r - c||^2) and updates the rows
+only; points are touched to pick the initial centers, to re-seed a dead
+cluster and to gather the final labels. For run_kmeans a row is a point;
+for segment_clustering the rows are the 256 intensity levels, so after one
+O(HW) pass per call an iteration costs O(256 k), and its SSE and edge
+center sums are sums in level order.
 
-Every reduction is performed in ascending point-index order with fixed
-tie-breaks, so results are bit-reproducible for a fixed configuration.
+Every reduction is performed in ascending row order with fixed tie-breaks,
+so results are bit-reproducible for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PreconditionError, TooFewPoints
-from .raster import GradientMap, GrayImage, LabelMap, sobel_magnitude
+from .raster import GradientMap, GrayImage, LabelMap, require_int, sobel_magnitude
 
 DEFAULT_BETA = 2.0
 
@@ -142,6 +144,8 @@ class ClusteringConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("k", "max_iter", "seed"):
+            object.__setattr__(self, name, require_int(getattr(self, name), name))
         if self.k < 1:
             raise PreconditionError("k must be >= 1")
         if self.max_iter < 1:
@@ -176,21 +180,18 @@ def _random_picks(n: int, k: int, seed: int) -> list[int]:
 
 
 class _DistinctPoints:
-    """n points as m distinct rows: point i is values[members[i]], and row r
-    stands for multiplicity[r] points. weights holds one weight per point,
-    or None for unit weights. weighted holds the addends of the center sums,
-    one row per coordinate: w * x per point, or x * multiplicity per row for
-    unit weights (exact only for integer values with sums below 2**53)."""
+    """n points as m distinct rows: point i is values[members[i]]. Row r
+    stands for multiplicity[r] points whose weights (one per point, or None
+    for unit weights) sum to wsum[r]; weighted[r] = wsum[r] * values[r] is
+    the row's addend to its cluster's center sums."""
 
     def __init__(self, values: np.ndarray, members: np.ndarray, weights: np.ndarray | None = None):
         self.values = values
         self.members = members
-        self.multiplicity = np.bincount(members, minlength=values.shape[0])
         self.weights = weights
-        if weights is None:
-            self.weighted = [row * self.multiplicity for row in values.T]
-        else:
-            self.weighted = [weights * row[members] for row in values.T]
+        self.multiplicity = np.bincount(members, minlength=values.shape[0])
+        self.wsum = self.multiplicity if weights is None else np.bincount(members, weights, values.shape[0])
+        self.weighted = self.wsum[:, None] * values
 
 
 def _each_point(points: PointSet, weights: Weights | None = None) -> _DistinctPoints:
@@ -219,33 +220,26 @@ def _assign(values: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.argmin(np.einsum("nkd,nkd->nk", diffs, diffs), axis=1).astype(np.int32)
 
 
-def _point_sse(p: _DistinctPoints, centers: np.ndarray, nearest: np.ndarray) -> np.ndarray:
-    """w_i * ||x_i - c||^2 for every point i, c being the center of its
-    row's cluster: weighted_sse's terms, computed once per row."""
+def _row_distances(p: _DistinctPoints, centers: np.ndarray, nearest: np.ndarray) -> np.ndarray:
+    """||x_r - c||^2 for every row r, c being the center of its cluster."""
     diffs = p.values - centers[nearest]
-    terms = np.einsum("nd,nd->n", diffs, diffs)[p.members]
-    if p.weights is not None:
-        terms *= p.weights
-    return terms
+    return np.einsum("nd,nd->n", diffs, diffs)
 
 
 def _update(p: _DistinctPoints, nearest: np.ndarray, k: int) -> np.ndarray:
     """update_centers, given each row's nearest center."""
-    count = np.bincount(nearest, weights=p.multiplicity, minlength=k)
-    if p.weights is None:
-        at, wsum = nearest, count
-    else:
-        at = nearest[p.members]
-        wsum = np.bincount(at, weights=p.weights, minlength=k)
     # np.bincount iterates its input sequentially, matching a naive loop
-    sums = np.stack([np.bincount(at, weights=row, minlength=k) for row in p.weighted], axis=1)
-    dead = (count == 0) | (wsum == 0)
+    wsum = np.bincount(nearest, weights=p.wsum, minlength=k)
+    sums = np.stack([np.bincount(nearest, weights=col, minlength=k) for col in p.weighted.T], axis=1)
+    dead = wsum == 0  # no members, or members of weight zero only
     centers = np.zeros((k, p.values.shape[1]))
     centers[~dead] = sums[~dead] / wsum[~dead, None]
     if dead.any():
         # weighted squared distance of each point to its own cluster's new
         # center; members of all-zero-weight clusters score 0 via w=0
-        score = _point_sse(p, centers, nearest)
+        score = _row_distances(p, centers, nearest)[p.members]
+        if p.weights is not None:
+            score *= p.weights
         for j in np.flatnonzero(dead):
             best = int(np.argmax(score))  # first maximum: lowest point index
             centers[j] = p.values[p.members[best]]
@@ -259,8 +253,8 @@ def _lloyd(p: _DistinctPoints, config: ClusteringConfig) -> ClusteringResult:
     sse_trace: list[float] = []
     for iterations in range(1, config.max_iter + 1):
         nearest = _assign(p.values, centers)
-        terms = _point_sse(p, centers, nearest)
-        sse_trace.append(float(np.cumsum(terms, out=terms)[-1]))  # point order
+        terms = p.wsum * _row_distances(p, centers, nearest)
+        sse_trace.append(float(np.cumsum(terms, out=terms)[-1]))  # row order
         new_centers = _update(p, nearest, config.k)
         converged = float(np.max(np.abs(new_centers - centers))) <= config.epsilon
         centers = new_centers
@@ -342,10 +336,13 @@ def edge_weights(gradient: GradientMap, beta: float) -> Weights:
     [0, 1] by the global maximum (an all-zero gradient normalizes to 0)."""
     if not 0 <= beta < np.inf:  # also rejects nan
         raise PreconditionError("beta must be finite and >= 0")
-    mag = gradient.magnitude.astype(np.float64).ravel()
+    mag = gradient.magnitude.ravel()
     peak = mag.max()
-    ghat = mag / peak if peak > 0 else np.zeros_like(mag)
-    return Weights(1.0 / (1.0 + beta * ghat))
+    w = mag / peak if peak > 0 else np.zeros(mag.size)
+    # 1 / (1 + beta * g) in place: one fresh (h*w) float array per call
+    w *= beta
+    w += 1.0
+    return Weights(np.divide(1.0, w, out=w))
 
 
 def segment_clustering(
@@ -357,14 +354,17 @@ def segment_clustering(
     magnitude of the image; otherwise all pixels weigh 1. beta=0 yields
     exactly the unit-weight result.
 
-    The result is bit-identical to run_kmeans over the pixels as 1-D
-    points: the Lloyd loop runs over the 256 intensity levels as its
-    distinct rows, with the pixels as members.
+    The Lloyd loop runs over the 256 intensity levels as its rows, each
+    weighing the sum of its pixels' weights, with the pixels as members:
+    one O(HW) pass per call, then O(256 k) per iteration. With unit weights
+    the labels, centers, iterations and convergence equal run_kmeans over
+    the pixels as 1-D points; the SSE is summed in level order.
     """
     n, k = image.pixels.size, config.k
     if k > n:  # before the Sobel pass
         raise TooFewPoints(f"k={k} exceeds point count n={n}")
     weights = None if beta is None else edge_weights(sobel_magnitude(image), beta).values
-    result = _lloyd(_DistinctPoints(np.arange(256.0).reshape(-1, 1), image.pixels.ravel(), weights), config)
+    levels = image.pixels.ravel().astype(np.intp)  # cast once for the bincounts and the label gather
+    result = _lloyd(_DistinctPoints(np.arange(256.0).reshape(-1, 1), levels, weights), config)
     labels = result.assignment.member_of.reshape(image.height, image.width)
     return LabelMap(labels=labels, k=config.k, complete=True), result

@@ -204,7 +204,9 @@ def merge_small_regions(
     a = np.concatenate((lab[:, :-1].ravel(), lab[:-1, :].ravel())).astype(np.int64)
     b = np.concatenate((lab[:, 1:].ravel(), lab[1:, :].ravel())).astype(np.int64)
     differ = a != b
-    pairs = np.unique(np.minimum(a, b)[differ] * k + np.maximum(a, b)[differ])
+    # sorted distinct keys; a plain np.unique would import numpy.ma on numpy 2
+    keys = np.sort(np.minimum(a, b)[differ] * k + np.maximum(a, b)[differ])
+    pairs = keys[np.diff(keys, prepend=-1) != 0]
     adj: dict[int, set[int]] = {j: set() for j in range(k)}
     for lo, hi in zip(*divmod(pairs, k)):
         adj[int(lo)].add(int(hi))

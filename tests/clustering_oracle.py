@@ -1,10 +1,12 @@
 """Reference K-means over individual points: one row per point, one
-argmax over every point per dead cluster.
+argmax over every point per dead cluster; and segment_levels, the same
+loop over the 256 intensity levels of an image.
 
 These are the per-point steps that segkit.clustering replaced with one
 Lloyd loop over distinct points (a row per distinct point, a member index
-per point, and each row's multiplicity); the tests compare the two bit for
-bit: centers, assignment, SSE trace, iterations and convergence.
+per point, and each row's multiplicity and weight sum); the tests compare
+the two bit for bit: centers, assignment, SSE trace, iterations and
+convergence.
 """
 
 from __future__ import annotations
@@ -19,8 +21,10 @@ from segkit.clustering import (
     PointSet,
     Weights,
     _random_picks,
+    edge_weights,
 )
 from segkit.errors import PreconditionError, TooFewPoints
+from segkit.raster import GrayImage, sobel_magnitude
 
 
 def init_centers(points: PointSet, config: ClusteringConfig) -> ClusterModel:
@@ -155,6 +159,57 @@ def run_kmeans(
     return ClusteringResult(
         model=model,
         assignment=assignment,
+        sse_trace=sse_trace,
+        iterations=iterations,
+        converged=converged,
+    )
+
+
+def segment_levels(image: GrayImage, config: ClusteringConfig, beta: float | None) -> ClusteringResult:
+    """K-means of the pixel intensities with the 256 levels as the points.
+
+    Level v weighs W_v, the sum of the weights of its pixels (unit weights,
+    or edge_weights of the Sobel magnitude for beta set) in pixel order. The
+    initial centers and every re-seed are picked among the pixels, as
+    run_kmeans over the pixels picks them; assignment, SSE and center sums
+    run over the levels in level order. Labels are per pixel.
+    """
+    pixels = PointSet(image.pixels.astype(np.float64).reshape(-1, 1))
+    if beta is None:
+        w = Weights.unit(pixels.n).values
+    else:
+        w = edge_weights(sobel_magnitude(image), beta).values
+    level_of = image.pixels.ravel().astype(np.intp)
+    levels = PointSet(np.arange(256.0).reshape(-1, 1))
+    level_weights = np.bincount(level_of, weights=w, minlength=256)
+    k = config.k
+    model = init_centers(pixels, config)
+    sse_trace: list[float] = []
+    nearest = np.zeros(256, dtype=np.int32)
+    converged = False
+    iterations = 0
+    for it in range(1, config.max_iter + 1):
+        iterations = it
+        nearest = assign_points(levels, model).member_of
+        sse_trace.append(weighted_sse(levels, model, Assignment(nearest), Weights(level_weights)))
+        sums, wsum, _ = _cluster_sums(levels.points, nearest, level_weights, k)
+        count = np.bincount(nearest[level_of], minlength=k)
+        dead = (count == 0) | (wsum == 0)
+        centers = np.zeros((k, 1))
+        live = ~dead
+        centers[live] = sums[live] / wsum[live, None]
+        if dead.any():
+            # each pixel scores against its level's cluster's new center
+            diffs = pixels.points - centers[nearest[level_of]]
+            _reseed(centers, dead, w * np.einsum("nd,nd->n", diffs, diffs), pixels.points)
+        movement = float(np.max(np.abs(centers - model.centers)))
+        model = ClusterModel(centers)
+        if movement <= config.epsilon:
+            converged = True
+            break
+    return ClusteringResult(
+        model=model,
+        assignment=Assignment(nearest[level_of]),
         sse_trace=sse_trace,
         iterations=iterations,
         converged=converged,

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from segkit.clustering import (
     Assignment,
@@ -244,6 +247,23 @@ class TestRunKmeans:
         assert a.sse_trace == b.sse_trace
 
 
+class TestClusteringConfig:
+    @pytest.mark.parametrize("fields", [
+        {"k": 2.0},
+        {"k": 2, "max_iter": 2.5},
+        {"k": 2, "seed": 1.5, "init": "seeded-random"},
+        {"k": "2"},
+    ])
+    def test_non_integer_counts_and_seed_rejected(self, fields):
+        with pytest.raises(PreconditionError, match="must be an integer"):
+            ClusteringConfig(**fields)
+
+    def test_integer_likes_stored_as_int(self):
+        config = ClusteringConfig(k=np.int64(3), max_iter=np.int32(5), seed=np.uint64(7))
+        assert [type(v) for v in (config.k, config.max_iter, config.seed)] == [int, int, int]
+        assert (config.k, config.max_iter, config.seed) == (3, 5, 7)
+
+
 class TestPointSet:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, bad):
@@ -271,6 +291,16 @@ class TestEdgeWeights:
         grad = GradientMap(np.array([[0, 100]], dtype=np.int32))
         w = edge_weights(grad, 3.0).values
         assert w[1] == 0.25  # normalized gradient 1, 1/(1+3)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(arrays(np.int32, st.integers(1, 30), elements=st.integers(0, 2**31 - 1)),
+           st.sampled_from([0, 0.0, 0.3, 2, 2.0, 25.0]))
+    def test_matches_per_pixel_formula(self, magnitude, beta):
+        # Python floats, one pixel at a time: the same IEEE operations
+        peak = int(magnitude.max())
+        want = [1.0 / (1.0 + beta * (int(m) / peak if peak else 0.0)) for m in magnitude]
+        got = edge_weights(GradientMap(magnitude.reshape(1, -1)), beta).values
+        assert got.tobytes() == np.array(want).tobytes()
 
 
 class TestSegmentClustering:

@@ -1,6 +1,8 @@
 """segment_clustering, which iterates over the 256 intensity levels,
-against run_kmeans over the pixels as 1-D points: identical labels, center
-bits, SSE trace, iteration count and convergence flag."""
+against the level-order reference clustering_oracle.segment_levels:
+identical labels, center bits, SSE trace, iteration count and convergence
+flag. With unit weights the labels, centers, iterations and convergence
+also equal run_kmeans over the pixels as 1-D points."""
 
 import tracemalloc
 
@@ -20,6 +22,8 @@ from segkit.clustering import (
 )
 from segkit.errors import TooFewPoints
 from segkit.raster import GrayImage, sobel_magnitude
+
+from clustering_oracle import segment_levels
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 SHAPES = st.one_of(
@@ -74,7 +78,7 @@ def test_segment_clustering_matches_per_point_kmeans(case):
             segment_clustering(image, config, beta)
         return
     labels, got = segment_clustering(image, config, beta)
-    want = per_point(image, config, beta)
+    want = segment_levels(image, config, beta)
     assert labels.labels.dtype == np.int32 and labels.k == config.k and labels.complete
     assert labels.labels.tobytes() == want.assignment.member_of.tobytes()
     assert got.assignment.member_of.tobytes() == want.assignment.member_of.tobytes()
@@ -82,6 +86,11 @@ def test_segment_clustering_matches_per_point_kmeans(case):
     assert got.model.centers.tobytes() == want.model.centers.tobytes()
     assert np.array(got.sse_trace).tobytes() == np.array(want.sse_trace).tobytes()
     assert (got.iterations, got.converged) == (want.iterations, want.converged)
+    if beta is None:
+        pixels = per_point(image, config, beta)
+        assert got.assignment.member_of.tobytes() == pixels.assignment.member_of.tobytes()
+        assert got.model.centers.tobytes() == pixels.model.centers.tobytes()
+        assert (got.iterations, got.converged) == (pixels.iterations, pixels.converged)
 
 
 @pytest.mark.parametrize("beta", [None, 2.0])

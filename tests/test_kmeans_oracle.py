@@ -1,6 +1,8 @@
 """The Lloyd loop over distinct points against the per-point reference in
 clustering_oracle: run_kmeans and its steps bit for bit, and
-segment_clustering against the reference run_kmeans over the pixels."""
+segment_clustering against the level-order reference segment_levels (and,
+for unit weights, against the reference run_kmeans over the pixels in all
+but the SSE)."""
 
 import numpy as np
 import pytest
@@ -16,14 +18,12 @@ from segkit.clustering import (
     PointSet,
     Weights,
     assign_points,
-    edge_weights,
     init_centers,
     run_kmeans,
     segment_clustering,
     update_centers,
 )
 from segkit.errors import TooFewPoints
-from segkit.raster import sobel_magnitude
 from test_clustering_oracle import cases as image_cases
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -132,16 +132,18 @@ def test_update_centers_matches_per_point_reference(points, data):
 @given(image_cases())
 def test_segment_clustering_matches_per_point_reference(case):
     image, config, beta = case
-    points = PointSet(image.pixels.astype(np.float64).reshape(-1, 1))
-    if beta is None:
-        weights = Weights.unit(points.n)
-    else:
-        weights = edge_weights(sobel_magnitude(image), beta)
-    if config.k > points.n:
-        with pytest.raises(TooFewPoints):
-            segment_clustering(image, config, beta)
+    if config.k > image.pixels.size:
+        for segment in (segment_clustering, oracle.segment_levels):
+            with pytest.raises(TooFewPoints):
+                segment(image, config, beta)
         return
     labels, got = segment_clustering(image, config, beta)
-    want = oracle.run_kmeans(points, weights, config)
+    want = oracle.segment_levels(image, config, beta)
     assert labels.labels.tobytes() == want.assignment.member_of.tobytes()
     assert_same_result(got, want)
+    if beta is None:
+        points = PointSet(image.pixels.astype(np.float64).reshape(-1, 1))
+        pixels = oracle.run_kmeans(points, Weights.unit(points.n), config)
+        assert got.assignment.member_of.tobytes() == pixels.assignment.member_of.tobytes()
+        assert got.model.centers.tobytes() == pixels.model.centers.tobytes()
+        assert (got.iterations, got.converged) == (pixels.iterations, pixels.converged)

@@ -30,9 +30,12 @@ def loaded_after(code: str) -> dict:
 
 
 def segkit_modules_snippet(body: str) -> str:
+    """Runs body, then prints the segkit modules loaded ('modules'), the
+    numpy ones ('numpy') and the variable rc."""
     return (
         "import io, json, sys\n" + body
         + "\nprint(json.dumps({'modules': sorted(m for m in sys.modules if m.split('.')[0] == 'segkit'),"
+        " 'numpy': sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'),"
         " 'rc': globals().get('rc')}))"
     )
 
@@ -91,6 +94,23 @@ def test_op_loads_only_its_modules(files, argv, modules):
     ))
     assert got["rc"] == 0
     assert got["modules"] == sorted(BASE + [f"segkit.{m}" for m in modules])
+
+
+@pytest.fixture(scope="module")
+def numpy_at_cli_import():
+    return set(loaded_after(segkit_modules_snippet("import segkit.cli"))["numpy"])
+
+
+@pytest.mark.parametrize("argv, modules", OPS)
+def test_op_loads_no_numpy_submodule_beyond_the_cli_import(files, numpy_at_cli_import, argv, modules):
+    # against the import's own set, not a fixed list: numpy 1.24 imports
+    # numpy.ma eagerly, numpy 2 on first use
+    argv = [arg.format(**files) for arg in argv]
+    got = loaded_after(segkit_modules_snippet(
+        f"from segkit import cli\nrc = cli.run({argv!r}, io.StringIO(), io.StringIO())"
+    ))
+    assert got["rc"] == 0
+    assert sorted(set(got["numpy"]) - numpy_at_cli_import) == []
 
 
 def test_exports_are_the_submodules_objects():

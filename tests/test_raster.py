@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from segkit.errors import BadMagic, PreconditionError, TruncatedData, UnsupportedMaxval
 from segkit.raster import (
@@ -138,7 +141,29 @@ class TestBoxSmooth:
             box_smooth(GrayImage(np.zeros((4, 4), dtype=np.uint8)), radius)
 
 
+SOBEL_X = ((-1, 0, 1), (-2, 0, 2), (-1, 0, 1))
+
+
 class TestSobelMagnitude:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(arrays(np.uint8, st.tuples(st.integers(1, 9), st.integers(1, 9)),
+                  elements=st.one_of(st.sampled_from([0, 255]), st.integers(0, 255))))
+    def test_matches_per_pixel_kernels(self, pixels):
+        # both 3x3 kernels at every pixel, neighbors clamped to the image
+        h, w = pixels.shape
+        want = np.zeros((h, w), dtype=np.int32)
+        for y in range(h):
+            for x in range(w):
+                gx = gy = 0
+                for dy in (-1, 0, 1):
+                    for dx in (-1, 0, 1):
+                        v = int(pixels[min(max(y + dy, 0), h - 1), min(max(x + dx, 0), w - 1)])
+                        gx += SOBEL_X[dy + 1][dx + 1] * v
+                        gy += SOBEL_X[dx + 1][dy + 1] * v
+                want[y, x] = abs(gx) + abs(gy)
+        got = sobel_magnitude(GrayImage(pixels)).magnitude
+        assert got.dtype == np.int32 and got.tobytes() == want.tobytes()
+
     def test_constant_is_zero(self):
         img = GrayImage(np.full((4, 4), 123, dtype=np.uint8))
         assert sobel_magnitude(img).magnitude.max() == 0
