@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PreconditionError, TooFewPoints
-from .raster import GradientMap, GrayImage, LabelMap, require_int, sobel_magnitude
+from .raster import GradientMap, GrayImage, LabelMap, _exact_cast, require_int, sobel_magnitude
 
 DEFAULT_BETA = 2.0
 
@@ -62,13 +62,11 @@ class PointSet:
     points: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.points, dtype=np.float64)
+        p = _exact_cast(self.points, np.float64)
         if p.ndim == 1:
             p = p.reshape(-1, 1)
         if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] < 1:
             raise PreconditionError("points must be a nonempty (n, d) array")
-        if not np.isfinite(p).all():
-            raise PreconditionError("points must be finite")
         object.__setattr__(self, "points", p)
 
     @property
@@ -87,13 +85,9 @@ class Weights:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1:
-            raise PreconditionError("weights must be one-dimensional")
-        if not np.isfinite(v).all():
-            raise PreconditionError("weights must be finite")
-        if v.min() < 0:
-            raise PreconditionError("weights must be nonnegative")
+        v = _exact_cast(self.values, np.float64)
+        if v.ndim != 1 or v.size < 1 or v.min() < 0:
+            raise PreconditionError("weights must be a nonempty 1-D nonnegative array")
         if v.max() <= 0:
             raise PreconditionError("at least one weight must be positive")
         object.__setattr__(self, "values", v)
@@ -110,7 +104,7 @@ class Assignment:
     member_of: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.member_of, dtype=np.int32)
+        m = _exact_cast(self.member_of, np.int32)
         if m.ndim != 1:
             raise PreconditionError("member_of must be one-dimensional")
         if m.size and m.min() < 0:
@@ -125,7 +119,7 @@ class ClusterModel:
     centers: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.centers, dtype=np.float64)
+        c = _exact_cast(self.centers, np.float64)
         if c.ndim != 2 or c.shape[0] < 1:
             raise PreconditionError("centers must be a (k, d) array with k >= 1")
         object.__setattr__(self, "centers", c)
@@ -300,23 +294,28 @@ def update_centers(
     its own cluster's new center (ties to the lowest point index); each
     re-seed consumes its point so later empty clusters pick fresh ones.
     """
-    a = assignment.member_of
-    if a.shape[0] != points.n or weights.values.shape[0] != points.n:
-        raise PreconditionError("assignment and weights must cover every point")
-    if a.size and a.max() >= k:
-        raise PreconditionError("assignment index out of range")
-    return ClusterModel(_update(_each_point(points, weights), a, k))
+    k = require_int(k, "k")
+    _check_members(points, assignment, weights, k)
+    return ClusterModel(_update(_each_point(points, weights), assignment.member_of, k))
 
 
 def weighted_sse(
     points: PointSet, model: ClusterModel, assignment: Assignment, weights: Weights
 ) -> float:
     """Sum over points (in ascending index order) of w_i * ||x_i - c||^2."""
-    pts = points.points
-    diffs = pts - model.centers[assignment.member_of]
+    _check_members(points, assignment, weights, model.k)
+    diffs = points.points - model.centers[assignment.member_of]
     terms = weights.values * np.einsum("nd,nd->n", diffs, diffs)
     # cumsum keeps the naive ascending-order accumulation
-    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
+    return float(np.cumsum(terms)[-1])
+
+
+def _check_members(points: PointSet, assignment: Assignment, weights: Weights, k: int) -> None:
+    """PreconditionError unless each point has one weight and one cluster index below k."""
+    if assignment.member_of.shape[0] != points.n or weights.values.shape[0] != points.n:
+        raise PreconditionError("assignment and weights must cover every point")
+    if assignment.member_of.max() >= k:
+        raise PreconditionError("assignment index out of range")
 
 
 def run_kmeans(

@@ -35,6 +35,7 @@ from .raster import (
     GrayImage,
     LabelMap,
     RgbImage,
+    _exact_cast,
     boundary_mask,
     label_bounds,
     pad_edge,
@@ -68,11 +69,9 @@ class FeatureVector:
     normalized: bool = True
 
     def __post_init__(self):
-        b = np.asarray(self.bins, dtype=np.float64)
-        if b.ndim != 1 or b.size < 1:
-            raise PreconditionError("bins must be a nonempty 1-D array")
-        if not (np.isfinite(b).all() and b.min() >= 0):
-            raise PreconditionError("bins must be finite and nonnegative")
+        b = _exact_cast(self.bins, np.float64)
+        if b.ndim != 1 or b.size < 1 or b.min() < 0:
+            raise PreconditionError("bins must be a nonempty 1-D nonnegative array")
         if self.normalized and abs(b.sum() - 1.0) > _NORMALIZATION_TOL:
             raise PreconditionError("normalized feature bins must sum to 1")
         object.__setattr__(self, "bins", b)
@@ -286,12 +285,8 @@ def local_histogram(image: GrayImage, x: int, y: int, window: int) -> FeatureVec
     x, y = require_int(x, "x"), require_int(y, "y")
     if not (0 <= x < image.width and 0 <= y < image.height):
         raise PreconditionError(f"({x}, {y}) outside {image.width}x{image.height} image")
-    r = window // 2
-    ys = np.clip(np.arange(y - r, y + r + 1), 0, image.height - 1)
-    xs = np.clip(np.arange(x - r, x + r + 1), 0, image.width - 1)
-    patch = image.pixels[np.ix_(ys, xs)]
-    counts = np.bincount(patch.ravel(), minlength=GRAY_DIM)
-    return FeatureVector(counts / (window * window))
+    counts = _local_counts(pad_edge(image.pixels, window // 2), window, np.array([y * image.width + x]))
+    return FeatureVector(counts[0] / (window * window))
 
 
 def classify_windows(

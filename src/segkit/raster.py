@@ -8,6 +8,7 @@ is a pure function of immutable inputs.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -17,26 +18,32 @@ from .errors import BadMagic, EvenWindow, PreconditionError, TruncatedData, Unsu
 
 UNLABELED = -1
 
-# Largest window (2 * radius + 1) accepted: it keeps the padded int64 buffer
-# of an image under 2**28 px a side below numpy's 2**63-byte array limit.
+# Largest window require_odd_window accepts. pad_edge refuses larger ones for
+# any image under 2**54 px, but features._slide_bounds needs this bound.
 MAX_WINDOW = (1 << 29) - 1
 
-# A raster padded for a window may hold up to this many times the image's
-# pixels, or _PAD_FLOOR pixels where that is more, so that the padding, and
-# with it one pixel's window of samples, stays O(image).
+# An array padded for a window may hold up to this many times the array's
+# entries, or _PAD_FLOOR entries where that is more, so that the padding, and
+# with it one entry's window of samples, stays O(array).
 _PAD_FACTOR = 16
 _PAD_FLOOR = 1 << 20
 
 
 def _exact_cast(values, dtype: type) -> np.ndarray:
     """values as a dtype array; PreconditionError when the cast would alter
-    a value: one out of range, fractional, or not finite."""
+    a value: one out of range, fractional, or not finite. A float64 target
+    takes any real value and refuses nan and inf."""
     a = np.asarray(values)
+    if dtype is np.float64:
+        if not np.isfinite(a := a.astype(dtype, copy=False)).all():
+            raise PreconditionError("values must be finite")
+        return a
     if a.dtype == dtype:
         return a
     info = np.iinfo(dtype)
-    # range first, so the cast cannot warn; nan fails both comparisons
-    if not ((a >= info.min) & (a <= info.max)).all() or not ((cast := a.astype(dtype)) == a).all():
+    # range first, so the cast cannot warn (nan fails both comparisons); the
+    # upper test is < max + 1 because int64's max rounds up to 2**63 as a float
+    if not ((a >= info.min) & (a < info.max + 1)).all() or not ((cast := a.astype(dtype)) == a).all():
         raise PreconditionError(f"{a.dtype} values do not convert to {info.dtype} exactly")
     return cast
 
@@ -106,8 +113,9 @@ class LabelMap:
 
     def __post_init__(self):
         lab = _exact_cast(self.labels, np.int32)
-        if lab.ndim != 2:
-            raise PreconditionError("labels must be a (height, width) array")
+        if lab.ndim != 2 or lab.shape[0] < 1 or lab.shape[1] < 1:
+            raise PreconditionError("labels must be a (height, width) array with both dims >= 1")
+        object.__setattr__(self, "k", require_int(self.k, "k"))
         if self.k < 1:
             raise PreconditionError("k must be >= 1")
         if self.complete:
@@ -134,11 +142,9 @@ class GradientMap:
     magnitude: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.magnitude)
-        if m.ndim != 2:
-            raise PreconditionError("magnitude must be a (height, width) array")
-        if m.min() < 0:
-            raise PreconditionError("magnitudes must be nonnegative")
+        m = _exact_cast(self.magnitude, np.int32)
+        if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1 or m.min() < 0:
+            raise PreconditionError("magnitude must be a nonnegative (height, width) array, both dims >= 1")
         object.__setattr__(self, "magnitude", m)
 
     @property
@@ -247,26 +253,24 @@ def window_sums(values: np.ndarray, window: int) -> np.ndarray:
 def box_smooth(image: GrayImage, radius: int) -> GrayImage:
     """Mean filter over the (2r+1)^2 clamped window, rounded half up;
     PreconditionError for a radius that is not an integer (require_int) or
-    is too large for the image (see pad_edge)."""
+    is negative or too large for the image (see pad_edge)."""
     radius = require_int(radius, "radius")
-    if not 0 <= radius <= MAX_WINDOW // 2:
-        raise PreconditionError(f"radius must be in [0, {MAX_WINDOW // 2}], got {radius}")
-    if radius == 0:
-        return GrayImage(image.pixels.copy())
+    if radius < 0:
+        raise PreconditionError(f"radius must be >= 0, got {radius}")
     area = (2 * radius + 1) ** 2
     sums = window_sums(pad_edge(image.pixels, radius), 2 * radius + 1)
     out = (2 * sums + area) // (2 * area)
     return GrayImage(out.astype(np.uint8))
 
 
-def pad_edge(pixels: np.ndarray, radius: int) -> np.ndarray:
-    """pixels with radius edge-replicated pixels added on every side.
-    Raises PreconditionError, before allocating, when the padded raster would
-    hold more than max(_PAD_FACTOR * h * w, _PAD_FLOOR) pixels."""
-    h, w = pixels.shape
-    if (h + 2 * radius) * (w + 2 * radius) > max(_PAD_FACTOR * h * w, _PAD_FLOOR):
-        raise PreconditionError(f"window radius {radius} is too large for a {w}x{h} image")
-    return np.pad(pixels, radius, mode="edge")
+def pad_edge(values: np.ndarray, radius: int) -> np.ndarray:
+    """values with radius edge-replicated entries added at both ends of
+    every axis: segkit's only edge padding. Raises PreconditionError, before
+    allocating, when the padded array would hold more than
+    max(_PAD_FACTOR * values.size, _PAD_FLOOR) entries."""
+    if math.prod(n + 2 * radius for n in values.shape) > max(_PAD_FACTOR * values.size, _PAD_FLOOR):
+        raise PreconditionError(f"window radius {radius} is too large for a {values.shape} array")
+    return np.pad(values, radius, mode="edge")
 
 
 def require_odd_window(window: int) -> int:
@@ -334,7 +338,7 @@ def sobel_magnitude(image: GrayImage) -> GradientMap:
     kernel is a [1, 2, 1] smoothing times a [-1, 0, 1] difference, applied
     as two passes in int16: |Gx| + |Gy| <= 2 * 4 * 255 fits.
     """
-    p = np.pad(image.pixels.astype(np.int16), 1, mode="edge")
+    p = pad_edge(image.pixels, 1).astype(np.int16)
     smooth = p[:-2] + 2 * p[1:-1] + p[2:]
     gx = np.abs(smooth[:, 2:] - smooth[:, :-2])
     diff = p[2:] - p[:-2]

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -29,6 +29,8 @@ from .raster import (
     boundary_mask,
     box_smooth,
     label_bounds,
+    pad_edge,
+    require_int,
     require_same_shape,
     window_sums,
 )
@@ -43,6 +45,8 @@ class RegionParams:
     contrast_guard: float = 40.0
 
     def __post_init__(self):
+        for name in ("smooth_radius", "min_seed_size", "min_region_size"):
+            object.__setattr__(self, name, require_int(getattr(self, name), name))
         if self.smooth_radius < 0 or not 0 <= self.variance_threshold < math.inf:
             raise PreconditionError("need smooth_radius >= 0 and a finite variance_threshold >= 0")
         if self.min_seed_size < 1:
@@ -70,16 +74,22 @@ class SegmentationResult:
     merged: int
 
 
+def _ratio(value) -> tuple[int, int]:
+    """A finite real value as integers (p, q), q > 0, with value == p / q."""
+    return value.as_integer_ratio() if hasattr(value, "as_integer_ratio") else (operator.index(value), 1)
+
+
 def _local_variance_ok(image: GrayImage, threshold: float) -> np.ndarray:
     """True where the 3x3 clamped-window population variance is <= threshold.
 
     Decided in exact integers: var = (9*S2 - S1^2) / 81, so the test is
     9*S2 - S1^2 <= floor(81 * threshold).
     """
-    v = np.pad(image.pixels.astype(np.int64), 1, mode="edge")
+    v = pad_edge(image.pixels, 1).astype(np.int64)
     s1 = window_sums(v, 3)
     s2 = window_sums(v * v, 3)
-    return (9 * s2 - s1 * s1) <= math.floor(81 * Fraction(threshold))
+    p, q = _ratio(threshold)
+    return (9 * s2 - s1 * s1) <= 81 * p // q
 
 
 def _connected_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
@@ -145,8 +155,7 @@ def grow_regions(image: GrayImage, seeds: LabelMap) -> LabelMap:
     seeded = seeds.labels >= 0
     if seeds.k < 1 or not seeded.any():
         raise EmptySeeds("need at least one seed region")
-    if seeds.labels.shape != image.pixels.shape:
-        raise PreconditionError("seed map and image dimensions differ")
+    require_same_shape(seeds, image)
     h, w = seeds.labels.shape
     region_of = seeds.labels[seeded]
     sums = np.bincount(region_of, image.pixels[seeded], seeds.k).astype(np.int64).tolist()
@@ -193,12 +202,14 @@ def merge_small_regions(
     """
     if not labels.complete:
         raise IncompleteLabels("merge_small_regions needs a complete label map")
+    require_same_shape(labels, image)
     lab = labels.labels
     k = labels.k
     flat = lab.ravel()
     pix = image.pixels.astype(np.int64).ravel()
-    sums = np.bincount(flat, weights=pix.astype(np.float64), minlength=k).astype(np.int64)
-    counts = np.bincount(flat, minlength=k).astype(np.int64)
+    # Python ints: the gap cross-products below pass 2**63 on large images
+    sums = np.bincount(flat, weights=pix.astype(np.float64), minlength=k).astype(np.int64).tolist()
+    counts = np.bincount(flat, minlength=k).tolist()
 
     # region adjacency over 4-neighbors: distinct (low, high) label pairs
     a = np.concatenate((lab[:, :-1].ravel(), lab[:-1, :].ravel())).astype(np.int64)
@@ -212,38 +223,32 @@ def merge_small_regions(
         adj[int(lo)].add(int(hi))
         adj[int(hi)].add(int(lo))
     owner = np.arange(k, dtype=np.int32)  # region each original label now belongs to
-
-    alive = set(range(k))
+    guard = None if params.contrast_guard == math.inf else _ratio(params.contrast_guard)
     kept: set[int] = set()
 
-    def mean_of(j: int) -> Fraction:
-        return Fraction(int(sums[j]), int(counts[j]))
-
     while True:
+        # a merged region has no neighbors left
         candidates = [
-            j
-            for j in alive
-            if j not in kept and counts[j] < params.min_region_size and adj[j]
+            j for j in range(k) if j not in kept and counts[j] < params.min_region_size and adj[j]
         ]
         if not candidates:
             break
         j = min(candidates, key=lambda r: (counts[r], r))
-        mj = mean_of(j)
+        # the gap |sums[nb] / counts[nb] - sums[j] / counts[j]| as the exact
+        # ratio gap / den; ratios compare by cross-multiplying
         best = None
         for nb in sorted(adj[j]):
-            gap = abs(mean_of(nb) - mj)
-            if best is None or gap < best[0]:
-                best = (gap, nb)
-        assert best is not None
-        gap, target = best
-        if gap > params.contrast_guard:
+            gap, den = abs(sums[nb] * counts[j] - sums[j] * counts[nb]), counts[nb] * counts[j]
+            if best is None or gap * best[1] < best[0] * den:
+                best = (gap, den, nb)
+        gap, den, target = best
+        if guard is not None and gap * guard[1] > guard[0] * den:
             kept.add(j)  # distinct small detail, never merged
             continue
         # fold j into target
         owner[owner == j] = target
         sums[target] += sums[j]
         counts[target] += counts[j]
-        alive.discard(j)
         for nb in adj[j]:
             adj[nb].discard(j)
             if nb != target:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import BadHeader, BadRecord, DimensionMismatch, EmptyIndex, PreconditionError
 from .features import FeatureVector, global_feature_counts
-from .raster import GrayImage, RgbImage, require_int
+from .raster import GrayImage, RgbImage, _exact_cast, require_int
 
 FORMAT_VERSION = 1
 _HEADER_TAG = "SEGIDX"
@@ -67,14 +67,12 @@ class ImageRecord:
     total: int
 
     def __post_init__(self):
-        try:
-            c = np.array(self.counts, dtype=np.int64)
-        except OverflowError:
-            raise PreconditionError("counts must fit in int64") from None
+        c = _exact_cast(self.counts, np.int64).copy()
         if c.ndim != 1:
             raise PreconditionError(_NONNEGATIVE)
         # a Python int, so total * dim cannot wrap as a numpy integer would
         total = require_int(self.total, "total")
+        object.__setattr__(self, "id", require_int(self.id, "id"))
         fault = _record_fault(c[None], [total], [self.description])
         if fault is not None:
             raise PreconditionError(fault[1])
@@ -282,7 +280,7 @@ def ingest(index: Index, image: GrayImage | RgbImage, description: str, path: st
 def _query_table(index: Index, query: FeatureVector, top: int) -> tuple[_Columns, np.ndarray]:
     """The index's search table and the query's bins, after checking top,
     the index and the query."""
-    if top < 1:
+    if require_int(top, "top") < 1:
         raise PreconditionError("top must be >= 1")
     if not index._size():
         raise EmptyIndex("index holds no records")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyHistogram, NoTwoPeaks, PreconditionError
-from .raster import GrayImage, LabelMap, require_odd_window
+from .raster import GrayImage, LabelMap, pad_edge, require_int, require_odd_window
 
 BINS = 256
 
@@ -29,10 +29,11 @@ class Histogram:
     counts: np.ndarray
 
     def __post_init__(self):
+        # not raster._exact_cast, and elementwise: object arrays of ints past
+        # the float range keep their dtype for otsu_threshold
         c = np.asarray(self.counts)
         if c.shape != (BINS,):
             raise PreconditionError("histogram needs exactly 256 bins")
-        # elementwise, so object arrays of ints past the float range pass
         if (c != c).any() or (abs(c) == np.inf).any():
             raise PreconditionError("counts must be finite")
         if c.min() < 0:
@@ -65,19 +66,14 @@ def gray_histogram(image: GrayImage) -> Histogram:
 def smooth_histogram(h: Histogram, window: int) -> Histogram:
     """Moving average over bins with edge replication at bins 0 and 255.
 
-    window must be odd; window 1 returns the histogram unchanged. Mass is
-    preserved exactly for histograms whose support stays at least
-    window//2 bins away from both ends; replication inflates mass that
-    sits on the extreme bins for windows of 5 and up.
+    window must be odd and within pad_edge's bound; window 1 returns the
+    counts as float64. Mass is preserved exactly for histograms whose
+    support stays at least window//2 bins away from both ends; replication
+    inflates mass that sits on the extreme bins for windows of 5 and up.
     """
     window = require_odd_window(window)
-    if window == 1:
-        return Histogram(np.asarray(h.counts, dtype=np.float64).copy())
-    r = window // 2
-    padded = np.pad(np.asarray(h.counts, dtype=np.float64), r, mode="edge")
-    kernel = np.ones(window) / window
-    smoothed = np.convolve(padded, kernel, mode="valid")
-    return Histogram(smoothed)
+    padded = pad_edge(np.asarray(h.counts, dtype=np.float64), window // 2)
+    return Histogram(np.convolve(padded, np.ones(window) / window, mode="valid"))
 
 
 def _local_maxima(counts: np.ndarray) -> list[int]:
@@ -108,6 +104,7 @@ def valley_threshold(
 
     Raises NoTwoPeaks when no sufficiently separated pair exists.
     """
+    min_separation = require_int(min_separation, "min_separation")
     smoothed = smooth_histogram(h, smooth_window).counts
     maxima = _local_maxima(smoothed)
     best = None
@@ -169,6 +166,7 @@ def otsu_threshold(h: Histogram) -> ThresholdReport:
 
 def binarize(image: GrayImage, level: int) -> LabelMap:
     """Label 1 where pixel > level, 0 otherwise."""
+    level = require_int(level, "level")
     if not 0 <= level <= 255:
         raise PreconditionError(f"level must be in [0, 255], got {level}")
     labels = (image.pixels > level).astype(np.int32)

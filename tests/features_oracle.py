@@ -1,8 +1,10 @@
-"""Reference window features built on the full (H, W, 256) count tensor.
+"""Reference window features built on the full (H, W, 256) count tensor,
+and a local histogram gathered with clamped coordinates.
 
 These are the straightforward implementations that segkit.features replaced
-with streamed, bounded-block window counts and box-sum class histograms;
-the tests compare the two for byte-identical label maps.
+with streamed, bounded-block window counts, box-sum class histograms and
+window counts read from the edge-padded image; the tests compare the two
+for byte-identical label maps and features.
 """
 
 from __future__ import annotations
@@ -10,8 +12,23 @@ from __future__ import annotations
 import numpy as np
 
 from segkit.errors import IncompleteLabels, NoExemplars, PreconditionError
-from segkit.features import DEFAULT_WINDOW, GRAY_DIM, Exemplar
-from segkit.raster import GrayImage, LabelMap, boundary_mask, require_odd_window
+from segkit.features import DEFAULT_WINDOW, GRAY_DIM, Exemplar, FeatureVector
+from segkit.raster import GrayImage, LabelMap, boundary_mask, require_int, require_odd_window
+
+
+def local_histogram(image: GrayImage, x: int, y: int, window: int) -> FeatureVector:
+    """Normalized 256-bin histogram of the window centered at (x, y), its
+    coordinates clamped to the image; no bound on the window's padding."""
+    window = require_odd_window(window)
+    x, y = require_int(x, "x"), require_int(y, "y")
+    if not (0 <= x < image.width and 0 <= y < image.height):
+        raise PreconditionError(f"({x}, {y}) outside {image.width}x{image.height} image")
+    r = window // 2
+    ys = np.clip(np.arange(y - r, y + r + 1), 0, image.height - 1)
+    xs = np.clip(np.arange(x - r, x + r + 1), 0, image.width - 1)
+    patch = image.pixels[np.ix_(ys, xs)]
+    counts = np.bincount(patch.ravel(), minlength=GRAY_DIM)
+    return FeatureVector(counts / (window * window))
 
 
 def _window_counts(image: GrayImage, window: int) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Reference region growing: per-pixel BFS labelling, Fraction heap keys,
-and per-label mask scans for region statistics.
+Fraction region means for merging, and per-label mask scans for region
+statistics.
 
 These are the straightforward implementations that segkit.region replaced
-with union-find labelling, integer heap keys and scattered bounding-box
-extremes; the tests compare the two for byte-identical label maps and equal
-statistics.
+with union-find labelling, integer heap keys, cross-multiplied integer mean
+gaps and scattered bounding-box extremes; the tests compare the two for
+byte-identical label maps and equal statistics.
 """
 
 from __future__ import annotations
@@ -17,13 +18,7 @@ import numpy as np
 
 from segkit.errors import EmptySeeds, IncompleteLabels, NoSeeds, PreconditionError
 from segkit.raster import UNLABELED, GrayImage, LabelMap, boundary_mask, box_smooth
-from segkit.region import (
-    RegionParams,
-    RegionStats,
-    SegmentationResult,
-    _local_variance_ok,
-    merge_small_regions,
-)
+from segkit.region import RegionParams, RegionStats, SegmentationResult, _local_variance_ok
 
 _NEIGHBORS4 = ((-1, 0), (1, 0), (0, -1), (0, 1))
 
@@ -113,6 +108,75 @@ def grow_regions(image: GrayImage, seeds: LabelMap) -> LabelMap:
             if 0 <= ny < h and 0 <= nx < w and labels[ny, nx] == UNLABELED:
                 push_candidate(ny, nx, region)
     return LabelMap(labels=labels, k=seeds.k, complete=True)
+
+
+def merge_small_regions(labels: LabelMap, image: GrayImage, params: RegionParams) -> LabelMap:
+    """segkit.region.merge_small_regions with Fraction means and a set of the
+    regions still alive; it does not check that the shapes agree."""
+    if not labels.complete:
+        raise IncompleteLabels("merge_small_regions needs a complete label map")
+    lab = labels.labels
+    k = labels.k
+    flat = lab.ravel()
+    pix = image.pixels.astype(np.int64).ravel()
+    sums = np.bincount(flat, weights=pix.astype(np.float64), minlength=k).astype(np.int64)
+    counts = np.bincount(flat, minlength=k).astype(np.int64)
+
+    a = np.concatenate((lab[:, :-1].ravel(), lab[:-1, :].ravel())).astype(np.int64)
+    b = np.concatenate((lab[:, 1:].ravel(), lab[1:, :].ravel())).astype(np.int64)
+    differ = a != b
+    keys = np.sort(np.minimum(a, b)[differ] * k + np.maximum(a, b)[differ])
+    pairs = keys[np.diff(keys, prepend=-1) != 0]
+    adj: dict[int, set[int]] = {j: set() for j in range(k)}
+    for lo, hi in zip(*divmod(pairs, k)):
+        adj[int(lo)].add(int(hi))
+        adj[int(hi)].add(int(lo))
+    owner = np.arange(k, dtype=np.int32)
+
+    alive = set(range(k))
+    kept: set[int] = set()
+
+    def mean_of(j: int) -> Fraction:
+        return Fraction(int(sums[j]), int(counts[j]))
+
+    while True:
+        candidates = [
+            j
+            for j in alive
+            if j not in kept and counts[j] < params.min_region_size and adj[j]
+        ]
+        if not candidates:
+            break
+        j = min(candidates, key=lambda r: (counts[r], r))
+        mj = mean_of(j)
+        best = None
+        for nb in sorted(adj[j]):
+            gap = abs(mean_of(nb) - mj)
+            if best is None or gap < best[0]:
+                best = (gap, nb)
+        gap, target = best
+        if gap > params.contrast_guard:
+            kept.add(j)
+            continue
+        owner[owner == j] = target
+        sums[target] += sums[j]
+        counts[target] += counts[j]
+        alive.discard(j)
+        for nb in adj[j]:
+            adj[nb].discard(j)
+            if nb != target:
+                adj[nb].add(target)
+                adj[target].add(nb)
+        adj[target].discard(target)
+        adj[j] = set()
+
+    lab = owner[lab]
+    values, first_seen = np.unique(lab.ravel(), return_index=True)
+    ranks = np.empty(values.size, dtype=np.int32)
+    ranks[np.argsort(first_seen, kind="stable")] = np.arange(values.size, dtype=np.int32)
+    remap = np.zeros(k, dtype=np.int32)
+    remap[values] = ranks
+    return LabelMap(labels=remap[lab], k=int(values.size), complete=True)
 
 
 def region_stats(labels: LabelMap, image: GrayImage) -> list[RegionStats]:

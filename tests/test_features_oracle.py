@@ -1,6 +1,7 @@
-"""Window classification and boundary refinement against the reference
-implementations in features_oracle, which build the full (H, W, 256) count
-tensor: byte-identical label maps and equal k."""
+"""Window classification, boundary refinement and local histograms against
+the reference implementations in features_oracle, which build the full
+(H, W, 256) count tensor or gather clamped coordinates: byte-identical label
+maps and features, and equal k."""
 
 import tracemalloc
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import features_oracle as oracle
+from segkit.errors import PreconditionError
 from segkit.features import (
     _STRIP,
     Exemplar,
@@ -198,3 +200,36 @@ def test_largest_window_memory_stays_bounded(shape, window):
         for y in range(shape[0])
     ]
     assert labels.labels.tolist() == expected
+
+
+def padded_too_large(shape, radius):
+    """raster.pad_edge's bound: more than 16 times the image's pixels, or
+    2**20 where that is more."""
+    h, w = shape
+    return (h + 2 * radius) * (w + 2 * radius) > max(16 * h * w, 1 << 20)
+
+
+@st.composite
+def window_positions(draw):
+    """An image, a pixel of it and an odd window: small, or at most two
+    radii from the largest that raster.pad_edge accepts for the image."""
+    image = draw(images())
+    h, w = image.pixels.shape
+    largest = 0
+    while not padded_too_large((h, w), largest + 1):
+        largest += 1
+    near = st.sampled_from((largest - 2, largest - 1, largest, largest + 1, largest + 2))
+    radius = draw(near if draw(st.booleans()) else st.integers(0, 30))
+    return image, draw(st.integers(0, w - 1)), draw(st.integers(0, h - 1)), 2 * radius + 1
+
+
+@PROPERTY
+@given(window_positions())
+def test_local_histogram_matches_clamped_gather(case):
+    image, x, y, window = case
+    if padded_too_large(image.pixels.shape, window // 2):
+        with pytest.raises(PreconditionError):
+            local_histogram(image, x, y, window)
+        return
+    got, want = local_histogram(image, x, y, window), oracle.local_histogram(image, x, y, window)
+    assert got.bins.dtype == want.bins.dtype and got.bins.tobytes() == want.bins.tobytes()

@@ -96,6 +96,22 @@ def test_op_loads_only_its_modules(files, argv, modules):
     assert got["modules"] == sorted(BASE + [f"segkit.{m}" for m in modules])
 
 
+REGION_AND_KMEANS = [p for p in OPS if p.id in ("region", "predict-region", "predict-kmeans", "kmeans")]
+
+
+@pytest.mark.parametrize("argv, modules", REGION_AND_KMEANS)
+def test_op_loads_no_exact_arithmetic_module(files, argv, modules):
+    # region means compare as integer ratios: fractions, and the decimal
+    # module it imports, cost milliseconds of every op's start-up
+    argv = [arg.format(**files) for arg in argv]
+    got = loaded_after(
+        "import io, json, sys\nfrom segkit import cli\n"
+        f"rc = cli.run({argv!r}, io.StringIO(), io.StringIO())\n"
+        "print(json.dumps({'rc': rc, 'loaded': [m for m in ('fractions', 'decimal') if m in sys.modules]}))"
+    )
+    assert got == {"rc": 0, "loaded": []}
+
+
 @pytest.fixture(scope="module")
 def numpy_at_cli_import():
     return set(loaded_after(segkit_modules_snippet("import segkit.cli"))["numpy"])

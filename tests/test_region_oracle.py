@@ -1,9 +1,12 @@
-"""Region seeding and growing against the reference implementations in
-region_oracle: byte-identical label maps and equal statistics."""
+"""Region seeding, growing and merging against the reference implementations
+in region_oracle: byte-identical label maps and equal statistics."""
+
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -14,6 +17,7 @@ from segkit.region import (
     RegionParams,
     _connected_components,
     grow_regions,
+    merge_small_regions,
     primary_segment,
     region_stats,
     select_seeds,
@@ -156,3 +160,36 @@ def test_grow_from_serpentine_seed_on_plateau(shape):
 def test_region_stats_match_mask_scans(case):
     image, labels = case
     assert region_stats(labels, image) == oracle.region_stats(labels, image)
+
+
+@st.composite
+def merge_cases(draw):
+    """An image, a complete label map and merge params. Regions of one level
+    each, from three levels, tie region means and mean gaps; the guard is
+    drawn (Python and numpy ints and floats, inf), or is the gap between two
+    labels' means when a float holds it exactly."""
+    image, labels = draw(complete_maps())
+    if draw(st.booleans()):
+        levels = draw(arrays(np.uint8, labels.k, elements=st.sampled_from((0, 10, 20))))
+        image = GrayImage(levels[labels.labels])
+    flat, pix = labels.labels.ravel(), image.pixels.ravel().astype(np.int64)
+    means = {Fraction(int(pix[flat == j].sum()), int((flat == j).sum())) for j in np.unique(flat).tolist()}
+    gaps = sorted(float(abs(a - b)) for a in means for b in means if Fraction(float(abs(a - b))) == abs(a - b))
+    drawn = st.sampled_from((0, 0.5, 20, 40.0, np.float64(7.25), np.int64(12), math.inf))
+    guard = draw(st.sampled_from(gaps) if draw(st.booleans()) else drawn)
+    params = RegionParams(min_region_size=draw(st.integers(0, flat.size + 1)), contrast_guard=guard)
+    return image, labels, params
+
+
+# the middle region's two neighbors are equally far; the lower label wins
+TIED_GAPS = (GrayImage(np.array([[0, 0, 10, 20, 20]], dtype=np.uint8)),
+             LabelMap(np.array([[1, 1, 0, 2, 2]]), k=3), RegionParams(min_region_size=2))
+
+
+@PROPERTY
+@given(merge_cases())
+@example(TIED_GAPS)
+def test_merge_small_regions_matches_fraction_means(case):
+    image, labels, params = case
+    merged = merge_small_regions(labels, image, params)
+    assert same_labels(merged, oracle.merge_small_regions(labels, image, params))

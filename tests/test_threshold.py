@@ -2,6 +2,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from segkit.errors import EmptyHistogram, EvenWindow, NoTwoPeaks, PreconditionError
 from segkit.raster import GrayImage
@@ -74,6 +77,40 @@ class TestSmoothHistogram:
     def test_non_integer_window_rejected(self, window):
         with pytest.raises(PreconditionError, match="window"):
             smooth_histogram(hist_from_counts([(1, 1)]), window)
+
+
+def padded_smooth(counts, window):
+    """smooth_histogram's counts before the padding bound: a float64 copy
+    for window 1, else np.pad edge replication and np.convolve."""
+    c = np.asarray(counts, dtype=np.float64)
+    if window == 1:
+        return c.copy()
+    return np.convolve(np.pad(c, window // 2, mode="edge"), np.ones(window) / window, mode="valid")
+
+
+HISTOGRAM_COUNTS = st.one_of(
+    arrays(np.int64, 256, elements=st.integers(0, 2**62)),
+    # -0.0 is a nonnegative count; the padded path returns it as 0.0
+    arrays(np.float64, 256, elements=st.floats(0, 1e300) | st.just(-0.0)),
+    arrays(object, 256, elements=st.integers(0, 2**1000)),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(HISTOGRAM_COUNTS, st.one_of(st.just(1), st.integers(0, 60).map(lambda r: 2 * r + 1)))
+def test_smooth_histogram_matches_padded_convolution(counts, window):
+    got = smooth_histogram(Histogram(counts), window).counts
+    want = padded_smooth(counts, window) + 0.0
+    assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+
+
+def test_smooth_histogram_padding_bound():
+    # the widest window pads the 256 bins to exactly 2**20
+    counts = np.arange(256) % 7
+    widest = smooth_histogram(Histogram(counts), 1048321).counts
+    assert widest.tobytes() == padded_smooth(counts, 1048321).tobytes()
+    with pytest.raises(PreconditionError):
+        smooth_histogram(Histogram(counts), 1048323)
 
 
 def two_peak_fixture():
