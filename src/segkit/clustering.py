@@ -279,8 +279,7 @@ def init_centers(points: PointSet, config: ClusteringConfig) -> ClusterModel:
 def assign_points(points: PointSet, model: ClusterModel) -> Assignment:
     """Assign each point to the nearest center (squared Euclidean);
     ties go to the lowest cluster index."""
-    if points.dim != model.centers.shape[1]:
-        raise PreconditionError("point and center dimensions differ")
+    _check_dims(points, model)
     return Assignment(_assign(points.points, model.centers))
 
 
@@ -303,11 +302,18 @@ def weighted_sse(
     points: PointSet, model: ClusterModel, assignment: Assignment, weights: Weights
 ) -> float:
     """Sum over points (in ascending index order) of w_i * ||x_i - c||^2."""
+    _check_dims(points, model)
     _check_members(points, assignment, weights, model.k)
     diffs = points.points - model.centers[assignment.member_of]
     terms = weights.values * np.einsum("nd,nd->n", diffs, diffs)
     # cumsum keeps the naive ascending-order accumulation
     return float(np.cumsum(terms)[-1])
+
+
+def _check_dims(points: PointSet, model: ClusterModel) -> None:
+    """PreconditionError unless the points and the centers share a dimension."""
+    if points.dim != model.centers.shape[1]:
+        raise PreconditionError("point and center dimensions differ")
 
 
 def _check_members(points: PointSet, assignment: Assignment, weights: Weights, k: int) -> None:

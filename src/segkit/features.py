@@ -333,12 +333,10 @@ def refine_boundaries(
     iterations = require_int(iterations, "iterations")
     if iterations < 0:
         raise PreconditionError("iterations must be >= 0")
-    lab = labels.labels.copy()
-    k = labels.k
-    if iterations == 0:
-        return LabelMap(labels=lab, k=k, complete=True)
     window = require_odd_window(window)
     padded = pad_edge(image.pixels, window // 2)
+    lab = labels.labels.copy()
+    k = labels.k
     area = window * window
     flat = lab.ravel()  # a view: writes move lab
 

@@ -9,10 +9,11 @@ score the scan stops. The pruned search returns exactly what the
 exhaustive scan returns, ids, order, and scores included.
 
 The index text is canonical: decode_index accepts exactly what
-encode_index writes. It checks and parses all record lines at once, and
-only when that fails reads the lines one at a time to name the first bad
-one. A decoded index holds its records as columns: a read-only (n, dim)
-int64 counts matrix, and the totals, paths, descriptions and encoded lines.
+encode_index writes. It checks and parses all record lines at once; when
+that fails, it halves the lines to find the first bad one, which works
+because several lines parse exactly when each parses on its own. A
+decoded index holds its records as columns: a read-only (n, dim) int64
+counts matrix, and the totals, paths, descriptions and encoded lines.
 Encoding joins the kept lines, and ingest appends a record after the
 columns, so neither builds an ImageRecord per line; Index.records builds
 them on first access, and callers may then mutate that list. Search reads
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -75,7 +75,7 @@ class ImageRecord:
         object.__setattr__(self, "id", require_int(self.id, "id"))
         fault = _record_fault(c[None], [total], [self.description])
         if fault is not None:
-            raise PreconditionError(fault[1])
+            raise PreconditionError(fault)
         bins = c / total
         c.flags.writeable = bins.flags.writeable = False
         object.__setattr__(self, "counts", c)
@@ -167,10 +167,10 @@ class Index:
     may each build a list; every read after them returns the stored one.
     """
 
-    def __init__(self, feature_dim: int | None = None, records: list[ImageRecord] | None = None,
-                 version: int = FORMAT_VERSION):
+    version = FORMAT_VERSION
+
+    def __init__(self, feature_dim: int | None = None, records: list[ImageRecord] | None = None):
         self.feature_dim = feature_dim
-        self.version = version
         # (decoded records as columns, until records is read; the records
         # after them), replaced as one value so that concurrent readers each
         # see a consistent pair
@@ -212,22 +212,22 @@ _NONNEGATIVE = "counts must be a 1-D nonnegative array"
 
 def _record_fault(
     counts: np.ndarray, totals: Sequence[int], descriptions: Sequence[str]
-) -> tuple[int, str] | None:
-    """The first row of an (n, dim) int64 count matrix whose record breaks
-    an ImageRecord invariant, with the reason; None when every row holds."""
+) -> str | None:
+    """Why the first row of an (n, dim) int64 count matrix breaks an
+    ImageRecord invariant; None when every row holds."""
     dim = counts.shape[1]
     lows = counts.min(axis=1, initial=0).tolist()
     highs = counts.max(axis=1, initial=0).tolist()
     sums = counts.sum(axis=1).tolist()
-    for row, (low, high, s, t, desc) in enumerate(zip(lows, highs, sums, totals, descriptions)):
+    for low, high, s, t, desc in zip(lows, highs, sums, totals, descriptions):
         if low < 0:
-            return row, _NONNEGATIVE
+            return _NONNEGATIVE
         # no wrap-around: nonnegative counts no larger than total < 2**63 / dim
         # have an int64 sum below 2**63
         if not (0 < t * dim < 2**63 and high <= t and s == t):
-            return row, "total must equal the sum of counts, in (0, 2**63 / dim)"
+            return "total must equal the sum of counts, in (0, 2**63 / dim)"
         if "\n" in desc:
-            return row, "descriptions must not contain newlines"
+            return "descriptions must not contain newlines"
     return None
 
 
@@ -409,11 +409,6 @@ def encode_index(index: Index) -> str:
     return "\n".join(lines) + "\n"
 
 
-# encode_index writes every count below 2**63 / 64 < 10**18
-_MAX_DIGITS = 18
-_COUNT = re.compile(rf"0|[1-9][0-9]{{0,{_MAX_DIGITS - 1}}}")
-
-
 def _decimal(text: str) -> int:
     """The value of a number spelled as encode_index writes it; raises
     ValueError on any other spelling, such as " 1", "+1", "01" or "1_0"."""
@@ -423,15 +418,15 @@ def _decimal(text: str) -> int:
     return value
 
 
-def _parse_counts(fields: Sequence[str], dim: int) -> np.ndarray | None:
+def _parse_counts(fields: Sequence[str], dim: int) -> np.ndarray | str:
     """The (len(fields), dim) int64 counts of count fields that each hold
-    dim counts, ASCII digits without a leading zero, joined by commas; None
-    when any field breaks that form. A count past int64 reads as 2**63 - 1,
-    and a count of more than 18 digits exceeds any total that
+    dim counts, ASCII digits without a leading zero, joined by commas; why
+    not when any field breaks that form. A count past int64 reads as
+    2**63 - 1, and a count of more than 18 digits exceeds any total that
     _record_fault accepts."""
     text = ",".join(fields)
     if not text.isascii():
-        return None
+        return "counts must be ASCII"
     buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
     comma = buf == ord(",")
     n = len(fields) * dim
@@ -444,7 +439,7 @@ def _parse_counts(fields: Sequence[str], dim: int) -> np.ndarray | None:
         or (comma[1:] & comma[:-1]).any()
         or ((buf - np.uint8(ord("0")) > 9) & ~comma).any()
     ):
-        return None
+        return f"expected {dim} counts of ASCII digits joined by commas"
     counts = np.fromstring(text, dtype=np.int64, count=n, sep=",").reshape(-1, dim)
     # A count never has more canonical digits than its run has bytes, and
     # has as many only without a leading zero. So when every row's canonical
@@ -456,60 +451,37 @@ def _parse_counts(fields: Sequence[str], dim: int) -> np.ndarray | None:
         lengths += np.count_nonzero(counts >= power, axis=1)
         power *= 10
     if not np.array_equal(lengths, list(map(len, fields))):
-        return None
+        return "counts must be plain decimals below 2**63"
     counts.flags.writeable = False
     return counts
 
 
-def _parse_records(lines: list[str], dim: int) -> _Columns | None:
-    """The records of lines as encode_index writes them, checked in bulk;
-    None when any line breaks the format or an ImageRecord invariant."""
+def _parse_records(lines: list[str], dim: int, first: int = 0) -> _Columns | str:
+    """The records of lines as encode_index writes them, with ids first,
+    first + 1, ..., checked in bulk; why not when any line breaks the format
+    or an ImageRecord invariant. The lines parse exactly when each parses
+    on its own (the length argument in _parse_counts), so the reason for a
+    single line names the check that it fails."""
     parts = [line.split("\t") for line in lines]
-    if set(map(len, parts)) != {5}:
-        return None
+    bad = next((p for p in parts if len(p) != 5), None)
+    if bad is not None:
+        return f"expected 5 fields, got {len(bad)}"
     ids, total_fields, count_fields, path_fields, description_fields = zip(*parts)
-    if ids != tuple(map(str, range(len(lines)))):
-        return None
+    expected = tuple(map(str, range(first, first + len(lines))))
+    if ids != expected:
+        got, want = next((g, w) for g, w in zip(ids, expected) if g != w)
+        return f"expected id {want}, got {got!r}"
     try:
-        totals = list(map(int, total_fields))
+        totals = list(map(_decimal, total_fields))
         paths = list(map(unescape_field, path_fields))
         descriptions = list(map(unescape_field, description_fields))
-    except ValueError:
-        return None
-    if tuple(map(str, totals)) != total_fields:
-        return None
-    counts = _parse_counts(count_fields, dim)
-    if counts is None or _record_fault(counts, totals, descriptions) is not None:
-        return None
-    return _Columns(np.arange(len(lines)), counts, totals, paths, descriptions, lines)
-
-
-def _line_fault(row: int, line: str, dim: int) -> str | None:
-    """Why the record line at row breaks the format, by the first check it
-    fails in reading order (fields, id, total, path, description, counts,
-    then the record); None when it holds. With dim 0, a line that parses
-    raises BadHeader."""
-    parts = line.split("\t")
-    if len(parts) != 5:
-        return f"expected 5 fields, got {len(parts)}"
-    try:
-        rec_id, total = _decimal(parts[0]), _decimal(parts[1])
-        unescape_field(parts[3])
-        description = unescape_field(parts[4])
     except ValueError as exc:
         return str(exc)
-    counts = parts[2].split(",")
-    bad = next((c for c in counts if not _COUNT.fullmatch(c)), None)
-    if bad is not None:
-        return f"count {bad!r} is not 1 to {_MAX_DIGITS} ASCII digits without a leading zero"
-    if dim == 0:
-        raise BadHeader("records present but feature dimension is 0")
-    if rec_id != row:
-        return f"expected id {row}, got {rec_id}"
-    if len(counts) != dim:
-        return f"{len(counts)} counts, expected {dim}"
-    fault = _record_fault(np.array([[int(c) for c in counts]], dtype=np.int64), [total], [description])
-    return None if fault is None else fault[1]
+    counts = _parse_counts(count_fields, dim)
+    fault = counts if isinstance(counts, str) else _record_fault(counts, totals, descriptions)
+    if fault is not None:
+        return fault
+    return _Columns(np.arange(first, first + len(lines)), counts, totals, paths, descriptions, lines)
 
 
 def decode_index(text: str) -> Index:
@@ -519,9 +491,11 @@ def decode_index(text: str) -> Index:
     Only text that encode_index writes is accepted: header fields, ids and
     totals are plain decimals, counts are 1 to 18 ASCII digits without a
     leading zero, comma-separated, feature_dim of them per record, and the
-    text ends in a newline. All record lines are split, checked and parsed
-    at once; the index keeps them as columns, with each record's line for
-    encode_index.
+    text ends in a newline. Record lines under a header of dimension 0 are
+    a bad header. All record lines are split, checked and parsed at once;
+    the index keeps them as columns, with each record's line for
+    encode_index. When that parse fails, halving the lines finds the first
+    bad one.
     """
     lines = text.split("\n")
     terminated = lines[-1] == ""
@@ -544,15 +518,21 @@ def decode_index(text: str) -> Index:
         raise BadHeader("header line without a final newline")
     index = Index(feature_dim=None if dim == 0 else dim)
     records = lines[1:]
-    head = _parse_records(records, dim) if records and dim and terminated else None
-    if records and head is None:
-        # the first line that fails a check, as a line-by-line parse finds it
-        for row, line in enumerate(records):
-            reason = _line_fault(row, line, dim)
-            if reason is not None:
-                raise BadRecord(f"line {row + 2}: {reason}")
-        if terminated:
-            raise AssertionError("the bulk checks rejected record lines that each hold")
+    if not records:
+        return index
+    if dim == 0:
+        raise BadHeader("records present but feature dimension is 0")
+    columns = _parse_records(records, dim)
+    if isinstance(columns, str):
+        lo, hi = 0, len(records)  # the lines before lo hold; one in [lo, hi) fails
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if isinstance(_parse_records(records[lo:mid], dim, lo), str):
+                hi = mid
+            else:
+                lo = mid
+        raise BadRecord(f"line {lo + 2}: {_parse_records(records[lo:hi], dim, lo)}")
+    if not terminated:
         raise BadRecord(f"line {len(lines)}: missing final newline")
-    index._parts = (head, [])
+    index._parts = (columns, [])
     return index

@@ -62,6 +62,8 @@ def decode_index(text: str) -> Index:
     if dim not in (0, 64, 256):
         raise BadHeader(f"unsupported feature dimension {dim}")
     index = Index(feature_dim=None if dim == 0 else dim)
+    if index.feature_dim is None and len(lines) > 1:
+        raise BadHeader("records present but feature dimension is 0")
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split("\t")
         if len(parts) != 5:
@@ -74,8 +76,6 @@ def decode_index(text: str) -> Index:
             description = unescape_field(parts[4])
         except (ValueError, OverflowError) as exc:
             raise BadRecord(f"line {lineno}: {exc}") from None
-        if index.feature_dim is None:
-            raise BadHeader("records present but feature dimension is 0")
         if rec_id != len(index.records):
             raise BadRecord(f"line {lineno}: expected id {len(index.records)}, got {rec_id}")
         if counts.size != index.feature_dim:

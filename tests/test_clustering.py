@@ -212,6 +212,14 @@ class TestWeightedSse:
         )
         assert permuted == pytest.approx(base, rel=1e-12)
 
+    def test_center_dimension_mismatch_rejected(self):
+        points = PointSet(np.array([[0.0, 1.0], [2.0, 3.0]]))
+        model = ClusterModel(np.array([[1.0]]))
+        with pytest.raises(PreconditionError, match="dimensions differ"):
+            weighted_sse(points, model, Assignment(np.array([0, 0])), Weights.unit(2))
+        with pytest.raises(PreconditionError, match="dimensions differ"):
+            assign_points(points, model)
+
 
 class TestRunKmeans:
     def test_four_point_optimum(self):

@@ -119,6 +119,12 @@ class TestRefineBoundaries:
         out = refine_boundaries(labels, img, 3, 0)
         assert np.array_equal(out.labels, labels.labels)
 
+    @pytest.mark.parametrize("window, error", [(4, EvenWindow), (2.5, PreconditionError)])
+    def test_bad_window_rejected_at_zero_iterations(self, window, error):
+        labels = LabelMap(np.zeros((16, 16), dtype=np.int32), k=1)
+        with pytest.raises(error, match="window"):
+            refine_boundaries(labels, half_16x16(), window, 0)
+
     def test_perfect_segmentation_is_fixed_point(self):
         img = half_16x16()
         lab = np.zeros((16, 16), dtype=np.int32)

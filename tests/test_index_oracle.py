@@ -101,6 +101,29 @@ def edited_encodings(draw):
 
 
 @st.composite
+def multi_edited_encodings(draw):
+    """A valid encoding with two or three of edited_encodings' edits, each
+    on a different line, so that the earliest bad line must be the one
+    named."""
+    lines = [line + "\n" for line in _encoded_lines(draw)]
+    rows = draw(st.lists(st.integers(0, len(lines) - 1), min_size=2,
+                         max_size=min(3, len(lines)), unique=True))
+    # from the last line up, so that dropping or repeating a line moves no
+    # line still to be edited
+    for row in sorted(rows, reverse=True):
+        kind = draw(st.sampled_from(("insert", "delete", "replace", "line")))
+        line = lines[row]
+        if kind == "line":
+            lines[row : row + 1] = draw(st.sampled_from(([], [line] * 2)))
+            continue
+        # the line's last position is its newline
+        pos = draw(st.integers(0, len(line) - 1))
+        char = "" if kind == "delete" else draw(st.sampled_from(ODD_CHARS))
+        lines[row] = line[:pos] + char + line[pos + (kind != "insert"):]
+    return "".join(lines)
+
+
+@st.composite
 def respelled_encodings(draw):
     """A valid encoding with one count of one record respelled or replaced,
     or one total changed by at most 2."""
@@ -179,7 +202,7 @@ def test_respelled_counts_fail_on_the_oracle_line(text):
 
 
 @PROPERTY
-@given(edited_encodings() | respelled_encodings() | respelled_numbers())
+@given(edited_encodings() | respelled_encodings() | respelled_numbers() | multi_edited_encodings())
 def test_accepted_text_is_the_oracle_encoding(text):
     _check_against_oracle(text)
     got, exc = _outcome(decode_index, text)

@@ -421,6 +421,11 @@ class TestIndexCodec:
         with pytest.raises(BadRecord):
             decode_index(text)
 
+    @pytest.mark.parametrize("record", ["0\tx", "0\t1\t1\tp\td"])
+    def test_records_under_dimension_zero_are_a_bad_header(self, record):
+        with pytest.raises(BadHeader, match="dimension is 0"):
+            decode_index(f"SEGIDX\t1\t0\n{record}\n")
+
     def test_unknown_escape_rejected(self):
         counts = ",".join(["1"] + ["0"] * 63)
         text = f"SEGIDX\t1\t64\n0\t1\t{counts}\tp\\x\td\n"
