@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import FormatError, PreconditionError
-from .raster import GrayImage, LabelMap, RgbImage, decode_pnm, encode_pnm, to_gray
+from .raster import GrayImage, LabelMap, RgbImage, decode_pnm, encode_pnm, global_feature, to_gray
 
 if TYPE_CHECKING:  # only for annotations: each command imports the modules it runs
     from . import clustering, features, region, retrieval
@@ -226,7 +226,7 @@ def _parse_exemplars(specs: list[str]) -> list[features.Exemplar]:
         label_text, _, path = spec.partition(":")
         if not path or not label_text.isdecimal():
             raise _UsageError(f"--exemplar expects LABEL:FILE with integer LABEL, got {spec!r}")
-        feat = features.global_feature(_read_gray(path))
+        feat = global_feature(_read_gray(path))
         try:
             label = int(label_text)  # isdecimal text, so only too many digits fail
         except ValueError:
@@ -305,10 +305,10 @@ def _cmd_ingest(args, out) -> int:
 
 
 def _cmd_query(args, out) -> int:
-    from . import features, retrieval
+    from . import retrieval
     index = _load_index(args.index)
     image = _read_image(args.input)
-    query = features.global_feature(image)
+    query = global_feature(image)
     if args.exhaustive:
         results = retrieval.search_exhaustive(index, query, args.top)
     else:

@@ -25,12 +25,10 @@ so results are bit-reproducible for a fixed configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import PreconditionError, TooFewPoints
-from .raster import GradientMap, GrayImage, LabelMap, _exact_cast, require_int, sobel_magnitude
+from .raster import GradientMap, GrayImage, LabelMap, _exact_cast, frozen, require_int, sobel_magnitude
 
 DEFAULT_BETA = 2.0
 
@@ -55,7 +53,7 @@ class Lcg:
         return self.state >> 32
 
 
-@dataclass(frozen=True)
+@frozen
 class PointSet:
     """n points of dimension d as an (n, d) float64 array."""
 
@@ -78,7 +76,7 @@ class PointSet:
         return self.points.shape[1]
 
 
-@dataclass(frozen=True)
+@frozen
 class Weights:
     """One nonnegative weight per point; at least one must be positive."""
 
@@ -97,7 +95,7 @@ class Weights:
         return Weights(np.ones(n))
 
 
-@dataclass(frozen=True)
+@frozen
 class Assignment:
     """Hard membership: member_of[i] is the cluster index of point i."""
 
@@ -112,7 +110,7 @@ class Assignment:
         object.__setattr__(self, "member_of", m)
 
 
-@dataclass(frozen=True)
+@frozen
 class ClusterModel:
     """k centers of dimension d as a (k, d) float64 array."""
 
@@ -129,7 +127,7 @@ class ClusterModel:
         return self.centers.shape[0]
 
 
-@dataclass(frozen=True)
+@frozen
 class ClusteringConfig:
     k: int
     max_iter: int = 100
@@ -150,11 +148,11 @@ class ClusteringConfig:
             raise PreconditionError(f"unknown init strategy {self.init!r}")
 
 
-@dataclass(frozen=True)
+@frozen
 class ClusteringResult:
     model: ClusterModel
     assignment: Assignment
-    sse_trace: list = field(default_factory=list)
+    sse_trace: list
     iterations: int = 0
     converged: bool = False
 

@@ -26,17 +26,17 @@ window counts only for boundary pixels and classifies them densely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import IncompleteLabels, NoExemplars, PreconditionError
-from .raster import (
+from .raster import (  # global_feature stays importable from here
+    GRAY_DIM,
+    FeatureVector,
     GrayImage,
     LabelMap,
-    RgbImage,
-    _exact_cast,
     boundary_mask,
+    frozen,
+    global_feature,
     label_bounds,
     pad_edge,
     require_int,
@@ -45,12 +45,7 @@ from .raster import (
     window_sums,
 )
 
-GRAY_DIM = 256
-COLOR_DIM = 64
-
 DEFAULT_WINDOW = 9
-
-_NORMALIZATION_TOL = 1e-9
 
 # Entries per temporary array of one block of window counts or distances
 # (1 MB at 8 bytes each), so memory does not grow with the image.
@@ -61,27 +56,7 @@ _BLOCK_ELEMENTS = 1 << 17
 _STRIP = 32
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Histogram feature; bins sum to 1 when normalized."""
-
-    bins: np.ndarray
-    normalized: bool = True
-
-    def __post_init__(self):
-        b = _exact_cast(self.bins, np.float64)
-        if b.ndim != 1 or b.size < 1 or b.min() < 0:
-            raise PreconditionError("bins must be a nonempty 1-D nonnegative array")
-        if self.normalized and abs(b.sum() - 1.0) > _NORMALIZATION_TOL:
-            raise PreconditionError("normalized feature bins must sum to 1")
-        object.__setattr__(self, "bins", b)
-
-    @property
-    def dimension(self) -> int:
-        return self.bins.size
-
-
-@dataclass(frozen=True)
+@frozen
 class Exemplar:
     """A class prototype: label index plus its normalized feature."""
 
@@ -354,27 +329,3 @@ def refine_boundaries(
             break
         flat[idx] = new_labels
     return LabelMap(labels=lab, k=k, complete=True)
-
-
-def global_feature(image: GrayImage | RgbImage) -> FeatureVector:
-    """Whole-image histogram feature: 256 bins for gray, 64 for color."""
-    counts, total = global_feature_counts(image)
-    return FeatureVector(counts / total)
-
-
-def global_feature_counts(image: GrayImage | RgbImage) -> tuple[np.ndarray, int]:
-    """Raw integer histogram behind global_feature.
-
-    Gray images count intensities into 256 bins; color images quantize
-    each channel to 4 levels and count into 64 bins indexed
-    (r div 64)*16 + (g div 64)*4 + (b div 64).
-    """
-    if isinstance(image, GrayImage):
-        counts = np.bincount(image.pixels.ravel(), minlength=GRAY_DIM)
-    elif isinstance(image, RgbImage):
-        p = image.pixels.astype(np.int64)
-        idx = (p[:, :, 0] // 64) * 16 + (p[:, :, 1] // 64) * 4 + p[:, :, 2] // 64
-        counts = np.bincount(idx.ravel(), minlength=COLOR_DIM)
-    else:
-        raise TypeError(f"expected GrayImage or RgbImage, got {type(image).__name__}")
-    return counts.astype(np.int64), int(counts.sum())

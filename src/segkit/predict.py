@@ -16,7 +16,6 @@ with '#' comments and blank lines ignored, and knots a <= b <= c <= d.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import (
     BadKnots,
@@ -26,9 +25,10 @@ from .errors import (
     PreconditionError,
     RuleSyntaxError,
 )
+from .raster import frozen
 
 
-@dataclass(frozen=True)
+@frozen
 class Trapezoid:
     """Membership shape with knots a <= b <= c <= d: zero outside [a, d],
     one on [b, c], linear in between. Equal knots collapse a ramp into a
@@ -45,7 +45,7 @@ class Trapezoid:
             raise BadKnots(f"knots must satisfy a <= b <= c <= d, got {self}")
 
 
-@dataclass(frozen=True)
+@frozen
 class FuzzyRule:
     label: str
     antecedents: tuple[tuple[str, Trapezoid], ...]
@@ -58,7 +58,7 @@ class FuzzyRule:
             raise DuplicateFeatureInRule(f"duplicate feature in rule {self.label!r}")
 
 
-@dataclass(frozen=True)
+@frozen
 class RuleBase:
     rules: tuple[FuzzyRule, ...]
 
@@ -67,7 +67,7 @@ class RuleBase:
             raise EmptyRuleBase("a rule base needs at least one rule")
 
 
-@dataclass(frozen=True)
+@frozen
 class Prediction:
     label: str
     confidence: float

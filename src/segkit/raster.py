@@ -1,22 +1,30 @@
-"""Image containers, binary PNM codec, box smoothing, and Sobel gradients.
+"""Image containers, binary PNM codec, box smoothing, Sobel gradients, and
+whole-image histogram features.
 
 Pixels are 8-bit. All window operations handle borders by clamping
 coordinates to the image (edge replication), so outputs keep the input
 dimensions; window_sums is segkit's only box-sum kernel. Everything here
-is a pure function of immutable inputs.
+is a pure function of immutable inputs. The value types of every segkit
+module are classes decorated with frozen.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadMagic, EvenWindow, PreconditionError, TruncatedData, UnsupportedMaxval
 
 UNLABELED = -1
+
+# Bins of a gray and of a color histogram feature; a normalized feature's
+# bins sum to 1 within _NORMALIZATION_TOL.
+GRAY_DIM = 256
+COLOR_DIM = 64
+
+_NORMALIZATION_TOL = 1e-9
 
 # Largest window require_odd_window accepts. pad_edge refuses larger ones for
 # any image under 2**54 px, but features._slide_bounds needs this bound.
@@ -57,7 +65,82 @@ def require_int(value, name: str) -> int:
         raise PreconditionError(f"{name} must be an integer, got {value!r}") from None
 
 
-@dataclass(frozen=True)
+class FrozenInstanceError(AttributeError):
+    """Assignment to, or deletion of, an attribute of a frozen value."""
+
+
+def frozen(cls: type) -> type:
+    """Class decorator: cls as an immutable value type.
+
+    The fields are cls's annotated names, in order, recorded in cls._fields;
+    a class attribute of the same name is the field's default. __init__
+    binds positional and keyword arguments to the fields, stores them and
+    calls __post_init__ if cls defines it, which may normalize a field with
+    object.__setattr__. __repr__ spells each field as name=repr(value), and
+    __eq__ and __hash__ compare and hash the tuple of field values. Setting
+    or deleting an attribute raises FrozenInstanceError. The methods are
+    plain closures, so decorating a class compiles no code."""
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    known = frozenset(names)
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    required = known - defaults.keys()
+    post_init = cls.__dict__.get("__post_init__")
+
+    def bind_error(args, kwargs) -> TypeError:
+        given = names[: len(args)]
+        if len(args) > len(names):
+            why = f"takes {len(names) + 1} positional arguments but {len(args) + 1} were given"
+        elif (unknown := next((n for n in kwargs if n not in known), None)) is not None:
+            why = f"got an unexpected keyword argument {unknown!r}"
+        elif (repeated := next((n for n in given if n in kwargs), None)) is not None:
+            why = f"got multiple values for argument {repeated!r}"
+        else:
+            missing = [n for n in names if n in required and n not in kwargs and n not in given]
+            why = f"missing required arguments: {', '.join(map(repr, missing))}"
+        return TypeError(f"{cls.__qualname__}.__init__() {why}")
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(names):
+            values = dict(zip(names, args), **kwargs) if args else kwargs
+            # a shorter dict: too many positional arguments or a repeated one
+            if len(values) != len(args) + len(kwargs) or not known >= values.keys() >= required:
+                raise bind_error(args, kwargs)
+            if len(values) < len(names):
+                self.__dict__.update(defaults)
+            self.__dict__.update(values)
+        else:  # every field by position: the common call, kept fast
+            self.__dict__.update(zip(names, args))
+        if post_init is not None:
+            post_init(self)
+
+    def values_of(self) -> tuple:
+        return tuple([getattr(self, name) for name in names])
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in names)})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return values_of(self) == values_of(other)
+
+    def __hash__(self):
+        return hash(values_of(self))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    for method in (__init__, __repr__, __eq__, __hash__, __setattr__, __delattr__):
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
+    cls._fields = names
+    return cls
+
+
+@frozen
 class GrayImage:
     """Single-channel image; pixels is a (height, width) uint8 array."""
 
@@ -78,7 +161,7 @@ class GrayImage:
         return self.pixels.shape[0]
 
 
-@dataclass(frozen=True)
+@frozen
 class RgbImage:
     """Three-channel image; pixels is a (height, width, 3) uint8 array."""
 
@@ -99,7 +182,7 @@ class RgbImage:
         return self.pixels.shape[0]
 
 
-@dataclass(frozen=True)
+@frozen
 class LabelMap:
     """Per-pixel integer labels.
 
@@ -135,7 +218,7 @@ class LabelMap:
         return self.labels.shape[0]
 
 
-@dataclass(frozen=True)
+@frozen
 class GradientMap:
     """Nonnegative gradient magnitude per pixel, (height, width) int32."""
 
@@ -154,6 +237,26 @@ class GradientMap:
     @property
     def height(self) -> int:
         return self.magnitude.shape[0]
+
+
+@frozen
+class FeatureVector:
+    """Histogram feature; bins sum to 1 when normalized."""
+
+    bins: np.ndarray
+    normalized: bool = True
+
+    def __post_init__(self):
+        b = _exact_cast(self.bins, np.float64)
+        if b.ndim != 1 or b.size < 1 or b.min() < 0:
+            raise PreconditionError("bins must be a nonempty 1-D nonnegative array")
+        if self.normalized and abs(b.sum() - 1.0) > _NORMALIZATION_TOL:
+            raise PreconditionError("normalized feature bins must sum to 1")
+        object.__setattr__(self, "bins", b)
+
+    @property
+    def dimension(self) -> int:
+        return self.bins.size
 
 
 def _read_header_token(buf: bytes, pos: int) -> tuple[bytes, int]:
@@ -345,3 +448,27 @@ def sobel_magnitude(image: GrayImage) -> GradientMap:
     gy = np.abs(diff[:, :-2] + 2 * diff[:, 1:-1] + diff[:, 2:])
     mag = (gx + gy).astype(np.int32)
     return GradientMap(mag)
+
+
+def global_feature(image: GrayImage | RgbImage) -> FeatureVector:
+    """Whole-image histogram feature: 256 bins for gray, 64 for color."""
+    counts, total = global_feature_counts(image)
+    return FeatureVector(counts / total)
+
+
+def global_feature_counts(image: GrayImage | RgbImage) -> tuple[np.ndarray, int]:
+    """Raw integer histogram behind global_feature.
+
+    Gray images count intensities into 256 bins; color images quantize
+    each channel to 4 levels and count into 64 bins indexed
+    (r div 64)*16 + (g div 64)*4 + (b div 64).
+    """
+    if isinstance(image, GrayImage):
+        counts = np.bincount(image.pixels.ravel(), minlength=GRAY_DIM)
+    elif isinstance(image, RgbImage):
+        p = image.pixels.astype(np.int64)
+        idx = (p[:, :, 0] // 64) * 16 + (p[:, :, 1] // 64) * 4 + p[:, :, 2] // 64
+        counts = np.bincount(idx.ravel(), minlength=COLOR_DIM)
+    else:
+        raise TypeError(f"expected GrayImage or RgbImage, got {type(image).__name__}")
+    return counts.astype(np.int64), int(counts.sum())

@@ -17,7 +17,6 @@ from __future__ import annotations
 import heapq
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from .raster import (
     LabelMap,
     boundary_mask,
     box_smooth,
+    frozen,
     label_bounds,
     pad_edge,
     require_int,
@@ -36,7 +36,7 @@ from .raster import (
 )
 
 
-@dataclass(frozen=True)
+@frozen
 class RegionParams:
     smooth_radius: int = 1
     variance_threshold: float = 25.0
@@ -55,7 +55,7 @@ class RegionParams:
             raise PreconditionError("min_region_size and contrast_guard must be >= 0")
 
 
-@dataclass(frozen=True)
+@frozen
 class RegionStats:
     label: int
     size: int
@@ -66,7 +66,7 @@ class RegionStats:
     boundary_fraction: float
 
 
-@dataclass(frozen=True)
+@frozen
 class SegmentationResult:
     labels: LabelMap
     stats: list[RegionStats]

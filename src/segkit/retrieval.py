@@ -31,13 +31,11 @@ from __future__ import annotations
 import bisect
 import functools
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadHeader, BadRecord, DimensionMismatch, EmptyIndex, PreconditionError
-from .features import FeatureVector, global_feature_counts
-from .raster import GrayImage, RgbImage, _exact_cast, require_int
+from .raster import FeatureVector, GrayImage, RgbImage, _exact_cast, frozen, global_feature_counts, require_int
 
 FORMAT_VERSION = 1
 _HEADER_TAG = "SEGIDX"
@@ -52,7 +50,7 @@ _PRUNE_MARGIN = 1e-9
 _BLOCK_ROWS = 256
 
 
-@dataclass(frozen=True)
+@frozen
 class ImageRecord:
     """One ingested image: id, source path, description, and its histogram
     stored as raw integer counts (feature = counts / total).
@@ -100,7 +98,7 @@ class ImageRecord:
         return FeatureVector(self._bins)
 
 
-@dataclass(frozen=True, eq=False)
+@frozen
 class _Columns:
     """Checked records as columns, in index order: int64 ids, a read-only
     (n, dim) int64 counts matrix, and the totals, paths, descriptions and
@@ -199,7 +197,7 @@ class Index:
         return head if head is not None and not tail else _Columns.of(self.records)
 
 
-@dataclass(frozen=True)
+@frozen
 class RankedResult:
     id: int
     score: float

@@ -8,12 +8,10 @@ never depends on floating-point rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import EmptyHistogram, NoTwoPeaks, PreconditionError
-from .raster import GrayImage, LabelMap, pad_edge, require_int, require_odd_window
+from .raster import GrayImage, LabelMap, frozen, pad_edge, require_int, require_odd_window
 
 BINS = 256
 
@@ -21,7 +19,7 @@ DEFAULT_SMOOTH_WINDOW = 5
 DEFAULT_MIN_SEPARATION = 16
 
 
-@dataclass(frozen=True)
+@frozen
 class Histogram:
     """256 per-level counts. Counts are integers for image histograms but
     may be real-valued after smoothing."""
@@ -45,7 +43,7 @@ class Histogram:
         return self.counts.sum()
 
 
-@dataclass(frozen=True)
+@frozen
 class ThresholdReport:
     """Chosen gray level plus the method that produced it.
 

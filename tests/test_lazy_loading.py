@@ -1,7 +1,6 @@
 """Each segkit op loads only the modules it runs, and a CLI flag left unset
 takes the library's default."""
 
-import dataclasses
 import importlib
 import io
 import json
@@ -31,12 +30,13 @@ def loaded_after(code: str) -> dict:
 
 def segkit_modules_snippet(body: str) -> str:
     """Runs body, then prints the segkit modules loaded ('modules'), the
-    numpy ones ('numpy') and the variable rc."""
+    numpy ones ('numpy'), whether dataclasses is loaded ('dataclasses') and
+    the variable rc."""
     return (
         "import io, json, sys\n" + body
         + "\nprint(json.dumps({'modules': sorted(m for m in sys.modules if m.split('.')[0] == 'segkit'),"
         " 'numpy': sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'),"
-        " 'rc': globals().get('rc')}))"
+        " 'dataclasses': 'dataclasses' in sys.modules, 'rc': globals().get('rc')}))"
     )
 
 
@@ -76,8 +76,8 @@ OPS = [
     pytest.param(["segment", "--method", "edge", "--k", "2", "{img}", "{out}"], ["clustering"], id="edge"),
     pytest.param(["segment", "--method", "region", "{img}", "{out}"], ["region"], id="region"),
     pytest.param([*WINDOWS, "{img}", "{out}"], ["features"], id="windows"),
-    pytest.param(["ingest", "--index", "{index}", "--desc", "y", "{img}"], ["features", "retrieval"], id="ingest"),
-    pytest.param(["query", "--index", "{index}", "--top", "1", "{img}"], ["features", "retrieval"], id="query"),
+    pytest.param(["ingest", "--index", "{index}", "--desc", "y", "{img}"], ["retrieval"], id="ingest"),
+    pytest.param(["query", "--index", "{index}", "--top", "1", "{img}"], ["retrieval"], id="query"),
     pytest.param(["predict", "--rules", "{rules}", "{img}"], ["predict", "region"], id="predict-region"),
     pytest.param(["predict", "--rules", "{rules}", "--segment-method", "kmeans", "{img}"],
                  ["clustering", "predict", "region"], id="predict-kmeans"),
@@ -129,6 +129,24 @@ def test_op_loads_no_numpy_submodule_beyond_the_cli_import(files, numpy_at_cli_i
     assert sorted(set(got["numpy"]) - numpy_at_cli_import) == []
 
 
+@pytest.fixture(scope="module")
+def dataclasses_at_numpy_import():
+    return loaded_after(segkit_modules_snippet("import argparse, numpy"))["dataclasses"]
+
+
+@pytest.mark.parametrize("argv, modules", OPS)
+def test_op_loads_no_dataclasses_beyond_numpy(files, dataclasses_at_numpy_import, argv, modules):
+    # segkit's value types are plain frozen classes: a dataclass generates
+    # and compiles its methods at import, about 1 ms a class. Against numpy's
+    # own import, which may load dataclasses on other numpy versions.
+    argv = [arg.format(**files) for arg in argv]
+    got = loaded_after(segkit_modules_snippet(
+        f"from segkit import cli\nrc = cli.run({argv!r}, io.StringIO(), io.StringIO())"
+    ))
+    assert got["rc"] == 0
+    assert dataclasses_at_numpy_import or not got["dataclasses"]
+
+
 def test_exports_are_the_submodules_objects():
     namespace = {}
     exec("from segkit import *", namespace)
@@ -144,12 +162,12 @@ def test_exports_are_the_submodules_objects():
 
 
 def test_region_flags_follow_region_params():
-    fields = dataclasses.fields(region.RegionParams)
-    assert cli.REGION_FLAGS == tuple((f.name, type(f.default)) for f in fields)
+    params = region.RegionParams
+    assert cli.REGION_FLAGS == tuple((name, type(getattr(params, name))) for name in params._fields)
 
 
 REGION_DEFAULTS = [
-    f"--{f.name.replace('_', '-')}={f.default!r}" for f in dataclasses.fields(region.RegionParams)
+    f"--{name.replace('_', '-')}={getattr(region.RegionParams, name)!r}" for name in region.RegionParams._fields
 ]
 CLUSTERING_DEFAULTS = [
     f"--beta={clustering.DEFAULT_BETA!r}", f"--seed={clustering.ClusteringConfig.seed!r}", "--init=quantile",
