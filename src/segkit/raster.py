@@ -140,8 +140,21 @@ def frozen(cls: type) -> type:
     return cls
 
 
+class _Raster:
+    """width and height of a frozen value type whose first field is a
+    (height, width, ...) array."""
+
+    @property
+    def width(self) -> int:
+        return getattr(self, self._fields[0]).shape[1]
+
+    @property
+    def height(self) -> int:
+        return getattr(self, self._fields[0]).shape[0]
+
+
 @frozen
-class GrayImage:
+class GrayImage(_Raster):
     """Single-channel image; pixels is a (height, width) uint8 array."""
 
     pixels: np.ndarray
@@ -152,17 +165,9 @@ class GrayImage:
             raise PreconditionError("GrayImage needs a (height, width) array with both dims >= 1")
         object.__setattr__(self, "pixels", p)
 
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
 
 @frozen
-class RgbImage:
+class RgbImage(_Raster):
     """Three-channel image; pixels is a (height, width, 3) uint8 array."""
 
     pixels: np.ndarray
@@ -173,17 +178,9 @@ class RgbImage:
             raise PreconditionError("RgbImage needs a (height, width, 3) array with both dims >= 1")
         object.__setattr__(self, "pixels", p)
 
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
 
 @frozen
-class LabelMap:
+class LabelMap(_Raster):
     """Per-pixel integer labels.
 
     labels is a (height, width) int32 array. When complete, every entry is
@@ -209,17 +206,9 @@ class LabelMap:
                 raise PreconditionError("partial LabelMap labels must be UNLABELED or in [0, k)")
         object.__setattr__(self, "labels", lab)
 
-    @property
-    def width(self) -> int:
-        return self.labels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.labels.shape[0]
-
 
 @frozen
-class GradientMap:
+class GradientMap(_Raster):
     """Nonnegative gradient magnitude per pixel, (height, width) int32."""
 
     magnitude: np.ndarray
@@ -229,14 +218,6 @@ class GradientMap:
         if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1 or m.min() < 0:
             raise PreconditionError("magnitude must be a nonnegative (height, width) array, both dims >= 1")
         object.__setattr__(self, "magnitude", m)
-
-    @property
-    def width(self) -> int:
-        return self.magnitude.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.magnitude.shape[0]
 
 
 @frozen

@@ -16,11 +16,12 @@ decoded index holds its records as columns: a read-only (n, dim) int64
 counts matrix, and the totals, paths, descriptions and encoded lines.
 Encoding joins the kept lines, and ingest appends a record after the
 columns, so neither builds an ImageRecord per line; Index.records builds
-them on first access, and callers may then mutate that list. Search reads
-a table of the records' columns and pivot distances: the decoded columns,
-whose pivot distances are derived on first search, while no record has
-been added or read as an object, else columns built from the record list
-for that search. It scores bounded blocks of rows as one matrix.
+them from the columns and lines on first access, and callers may then
+mutate that list. Search reads a table of the records' columns and pivot
+distances: the decoded columns, whose pivot distances are derived on first
+search, while no record has been added or read as an object, else columns
+built from the record list for that search. It scores bounded blocks of
+rows as one matrix.
 
 An index supports one writer or many concurrent readers; searches are
 read-only, ingest needs exclusive access.
@@ -53,10 +54,11 @@ _BLOCK_ROWS = 256
 @frozen
 class ImageRecord:
     """One ingested image: id, source path, description, and its histogram
-    stored as raw integer counts (feature = counts / total).
+    stored as raw integer counts.
 
     counts is a read-only copy of the array given, so the values derived
-    from it (bins, pivot distance, encoded line) cannot go stale."""
+    from it cannot go stale: the encoded line, made with the record, and
+    feature (counts / total) and pivot_distance, made when read."""
 
     id: int
     path: str
@@ -74,28 +76,30 @@ class ImageRecord:
         fault = _record_fault(c[None], [total], [self.description])
         if fault is not None:
             raise PreconditionError(fault)
-        bins = c / total
-        c.flags.writeable = bins.flags.writeable = False
+        c.flags.writeable = False
         object.__setattr__(self, "counts", c)
         object.__setattr__(self, "total", total)
-        object.__setattr__(self, "_bins", bins)
-        object.__setattr__(self, "pivot_distance", _pivot_distances(c[None], [total])[0])
         counts = ",".join(map(str, c.tolist()))
         line = f"{self.id}\t{total}\t{counts}\t{escape_field(self.path)}\t{escape_field(self.description)}"
         object.__setattr__(self, "_line", line)
 
     @classmethod
-    def _checked(cls, bins: np.ndarray, pivot_distance: float, line: str, **fields) -> ImageRecord:
-        """A record from fields that already passed _record_fault, with the
-        values __post_init__ would derive from them (line is its encoded
-        index line; counts and bins are read-only); nothing is checked again."""
+    def _checked(cls, line: str, **fields) -> ImageRecord:
+        """A record from fields that already passed _record_fault (counts
+        read-only) and their encoded index line; nothing is checked again."""
         rec = object.__new__(cls)
-        rec.__dict__.update(fields, _bins=bins, pivot_distance=pivot_distance, _line=line)
+        rec.__dict__.update(fields, _line=line)
         return rec
 
     @property
     def feature(self) -> FeatureVector:
-        return FeatureVector(self._bins)
+        bins = self.counts / self.total
+        bins.flags.writeable = False
+        return FeatureVector(bins)
+
+    @functools.cached_property
+    def pivot_distance(self) -> float:
+        return _pivot_distances(self.counts[None], [self.total])[0]
 
 
 @frozen
@@ -141,15 +145,10 @@ class _Columns:
         return np.minimum(bins, qbins, out=bins).sum(axis=1)
 
     def records(self) -> list[ImageRecord]:
-        bins = self.counts / self.divisors
-        bins.flags.writeable = False
-        columns = zip(
-            bins, self.pivots.tolist(), self.lines, self.ids.tolist(), self.paths,
-            self.descriptions, self.counts, self.totals,
-        )
+        columns = zip(self.lines, self.ids.tolist(), self.paths, self.descriptions, self.counts, self.totals)
         return [
-            ImageRecord._checked(b, p, line, id=i, path=path, description=desc, counts=c, total=t)
-            for b, p, line, i, path, desc, c, t in columns
+            ImageRecord._checked(line, id=i, path=path, description=desc, counts=c, total=t)
+            for line, i, path, desc, c, t in columns
         ]
 
 
@@ -181,10 +180,6 @@ class Index:
             tail = head.records() + tail
             self._parts = (None, tail)
         return tail
-
-    @records.setter
-    def records(self, records: list[ImageRecord]) -> None:
-        self._parts = (None, records)
 
     def _size(self) -> int:
         head, tail = self._parts
@@ -399,9 +394,27 @@ def encode_index(index: Index) -> str:
     backslash, tab, newline and carriage return. Every number is a plain
     decimal and the text ends in a newline. Each record's line was
     formatted when the record was made or read, so this only joins them.
+
+    Raises PreconditionError for an index that decode_index would refuse:
+    a feature_dim other than 64 or 256 (or None while empty), or a record
+    whose id is not its position or whose counts are not feature_dim long,
+    naming the first such record. Decoded columns hold ids 0, 1, ... by
+    construction, so of them only the width is checked.
     """
-    dim = index.feature_dim if index.feature_dim is not None else 0
+    dim = 0 if index.feature_dim is None else require_int(index.feature_dim, "feature_dim")
+    if dim not in (0, 64, 256):
+        raise PreconditionError(f"unsupported feature dimension {dim}")
     head, tail = index._parts
+    start = 0 if head is None else len(head.lines)
+    # (position, id, width): the first decoded row, whose width every
+    # decoded row shares, then each record after the decoded rows
+    rows = [] if head is None else [(0, 0, head.counts.shape[1])]
+    rows += ((p, r.id, r.counts.size) for p, r in enumerate(tail, start))
+    for position, rid, size in rows:
+        if rid != position:
+            raise PreconditionError(f"record {position} has id {rid}; ids must run 0, 1, 2, ...")
+        if size != dim:
+            raise PreconditionError(f"record {position} has {size} counts; feature_dim is {index.feature_dim}")
     lines = [f"{_HEADER_TAG}\t{index.version}\t{dim}", *(head.lines if head is not None else ()),
              *(r._line for r in tail)]
     return "\n".join(lines) + "\n"

@@ -216,6 +216,11 @@ class TestIntegerArguments:
         with pytest.raises(PreconditionError, match="label"):
             Exemplar(1.5, delta_feature(0))
 
+    def test_unnormalized_exemplar_feature_rejected(self):
+        raw = FeatureVector(np.array([2.0, 1.0]), normalized=False)
+        with pytest.raises(PreconditionError, match="exemplar feature must be normalized"):
+            Exemplar(0, raw)
+
     def test_integer_exemplar_label_normalized(self):
         e = Exemplar(np.int64(2), delta_feature(0))
         assert e.label == 2 and type(e.label) is int

@@ -91,6 +91,14 @@ class TestFrozen:
         with pytest.raises(FrozenInstanceError):
             columns.pivots = None
 
+    def test_decoded_records_skip_the_pivot_pass(self):
+        index = Index()
+        ingest(index, GrayImage(np.full((2, 2), 7)), "d", "p")
+        decoded = decode_index(encode_index(index))
+        columns = decoded._parts[0]
+        assert [r.pivot_distance for r in decoded.records] == [r.pivot_distance for r in index.records]
+        assert "pivots" not in vars(columns)
+
 
 @dataclasses.dataclass(frozen=True)
 class _DataclassRankedResult:

@@ -71,6 +71,11 @@ class TestSimilarity:
             l1 = float(np.abs(a.bins - b.bins).sum())
             assert abs(s - (1 - l1 / 2)) < 1e-12
 
+    def test_unnormalized_feature_rejected(self):
+        raw = FeatureVector(np.array([2.0, 1.0, 0, 0]), normalized=False)
+        with pytest.raises(PreconditionError, match="similarity needs normalized features"):
+            similarity(raw, feature([0.25, 0.25, 0.25, 0.25]))
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             similarity(feature([1.0]), feature([0.5, 0.5]))
@@ -161,6 +166,15 @@ class TestImageRecord:
         assert rec.counts[:2].tolist() == [3, 1]
         assert encode_index(Index(feature_dim=64, records=[rec])) == text
 
+    def test_holds_only_its_fields_and_line(self):
+        rec = record_from_counts(3, [3, 1, 0, 0], path="a.pgm", description="x")
+        assert vars(rec) == {
+            "id": 3, "path": "a.pgm", "description": "x", "counts": rec.counts, "total": 4,
+            "_line": "3\t4\t3,1,0,0\ta.pgm\tx",
+        }
+        assert rec.feature.bins.tolist() == [0.75, 0.25, 0.0, 0.0]
+        assert rec.pivot_distance == 1.0 and "pivot_distance" in vars(rec)
+
     def test_callers_counts_stay_writeable_and_unshared(self):
         counts = np.array([3, 1, 0, 0], dtype=np.int64)
         rec = record_from_counts(0, counts)
@@ -188,6 +202,15 @@ class TestSearchExhaustive:
     def test_empty_index(self):
         with pytest.raises(EmptyIndex):
             search_exhaustive(Index(feature_dim=4), feature([1, 0, 0, 0]), top=1)
+
+
+class TestUnnormalizedQuery:
+    @pytest.mark.parametrize("search", [search_exhaustive, search_optimized])
+    def test_rejected(self, search):
+        idx = index_from_counts([[1, 1, 0, 0]])
+        raw = FeatureVector(np.array([2.0, 1.0, 0, 0]), normalized=False)
+        with pytest.raises(PreconditionError, match="query feature must be normalized"):
+            search(idx, raw, top=1)
 
 
 class TestRecordListChanges:
@@ -425,6 +448,32 @@ class TestIndexCodec:
     def test_records_under_dimension_zero_are_a_bad_header(self, record):
         with pytest.raises(BadHeader, match="dimension is 0"):
             decode_index(f"SEGIDX\t1\t0\n{record}\n")
+
+    def test_unset_dimension_with_records_not_encoded(self):
+        idx = Index(records=[record_from_counts(0, [1] * 256)])
+        with pytest.raises(PreconditionError, match="record 0 has 256 counts"):
+            encode_index(idx)
+
+    @pytest.mark.parametrize("dim", [4, 64.0, True])
+    def test_unsupported_dimension_not_encoded(self, dim):
+        with pytest.raises(PreconditionError):
+            encode_index(Index(feature_dim=dim))
+
+    def test_counts_of_another_dimension_not_encoded(self):
+        records = [record_from_counts(0, [1] * 256), record_from_counts(1, [1] * 64)]
+        with pytest.raises(PreconditionError, match="record 1 has 64 counts; feature_dim is 256"):
+            encode_index(Index(feature_dim=256, records=records))
+
+    def test_ids_other_than_positions_not_encoded(self):
+        records = [record_from_counts(0, [1] * 64), record_from_counts(5, [1] * 64)]
+        with pytest.raises(PreconditionError, match="record 1 has id 5"):
+            encode_index(Index(feature_dim=64, records=records))
+
+    def test_reassigned_dimension_of_decoded_records_not_encoded(self):
+        idx = decode_index(encode_index(Index(feature_dim=64, records=[record_from_counts(0, [1] * 64)])))
+        idx.feature_dim = 256
+        with pytest.raises(PreconditionError, match="record 0 has 64 counts"):
+            encode_index(idx)
 
     def test_unknown_escape_rejected(self):
         counts = ",".join(["1"] + ["0"] * 63)
