@@ -35,9 +35,16 @@ class _UsageError(Exception):
     pass
 
 
+class _HelpRequested(Exception):
+    """--help; args[0] is the help text, which run writes to out."""
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+    def print_help(self, file=None):
+        raise _HelpRequested(self.format_help())
 
 
 def _read_image(path: str) -> GrayImage | RgbImage:
@@ -185,7 +192,7 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
-def _cmd_threshold(args, out) -> int:
+def _cmd_threshold(args) -> str:
     from . import threshold
     image = _read_gray(args.input)
     hist = threshold.gray_histogram(image)
@@ -195,8 +202,7 @@ def _cmd_threshold(args, out) -> int:
         report = threshold.valley_threshold(hist, **_set_flags(args, ("smooth_window", "min_separation")))
     labels = threshold.binarize(image, report.level)
     _export_labels(labels, args.output)
-    print(report.level, file=out)
-    return EXIT_OK
+    return str(report.level)
 
 
 def _segment_clustering(args, image: GrayImage, method: str) -> tuple[LabelMap, clustering.ClusteringResult]:
@@ -235,17 +241,15 @@ def _parse_exemplars(specs: list[str]) -> list[features.Exemplar]:
     return exemplars
 
 
-def _cmd_segment(args, out) -> int:
+def _cmd_segment(args) -> str:
     image = _read_gray(args.input)
     if args.method in ("kmeans", "edge"):
         labels, result = _segment_clustering(args, image, args.method)
         _export_labels(labels, args.output)
-        print(f"sse\t{result.sse_trace[-1]:.6f}", file=out)
-    elif args.method == "region":
+        return f"sse\t{result.sse_trace[-1]:.6f}"
+    if args.method == "region":
         from . import region
-        result = region.primary_segment(image, _region_params(args))
-        _export_labels(result.labels, args.output)
-        print(f"regions\t{result.labels.k}", file=out)
+        labels = region.primary_segment(image, _region_params(args)).labels
     else:  # windows
         from . import features
         exemplars = _parse_exemplars(args.exemplar)
@@ -255,9 +259,8 @@ def _cmd_segment(args, out) -> int:
         labels = features.classify_windows(image, exemplars, window)
         if args.refine:
             labels = features.refine_boundaries(labels, image, window, args.refine)
-        _export_labels(labels, args.output)
-        print(f"regions\t{labels.k}", file=out)
-    return EXIT_OK
+    _export_labels(labels, args.output)
+    return f"regions\t{labels.k}"
 
 
 def _load_index(path: str) -> retrieval.Index:
@@ -283,7 +286,7 @@ def _exclusive_lock(path: str):
         os.close(fd)
 
 
-def _cmd_ingest(args, out) -> int:
+def _cmd_ingest(args) -> str:
     """Ingests into one index run one at a time: each holds <index>.lock
     from reading the index to renaming the new one into place. Queries take
     no lock, since the rename already hands every reader a whole file."""
@@ -300,11 +303,10 @@ def _cmd_ingest(args, out) -> int:
         except UnicodeEncodeError as exc:
             raise PreconditionError(f"path and description must be UTF-8 text: {exc.reason}") from None
         _write_atomic_bytes(args.index, data)
-    print(rec_id, file=out)
-    return EXIT_OK
+    return str(rec_id)
 
 
-def _cmd_query(args, out) -> int:
+def _cmd_query(args) -> str:
     from . import retrieval
     index = _load_index(args.index)
     image = _read_image(args.input)
@@ -318,8 +320,7 @@ def _cmd_query(args, out) -> int:
         path = retrieval.escape_field(r.path)
         desc = retrieval.escape_field(r.description)
         lines.append(f"{rank}\t{r.id}\t{r.score:.6f}\t{path}\t{desc}")
-    print("\n".join(lines), file=out)
-    return EXIT_OK
+    return "\n".join(lines)
 
 
 def _image_features(args, image: GrayImage) -> dict[str, float]:
@@ -343,14 +344,13 @@ def _image_features(args, image: GrayImage) -> dict[str, float]:
     }
 
 
-def _cmd_predict(args, out) -> int:
+def _cmd_predict(args) -> str:
     from . import predict
     rulebase = predict.parse_rulebase(_read_text(args.rules))
     image = _read_gray(args.input)
     feature_map = _image_features(args, image)
     prediction = predict.predict_label(rulebase, feature_map)
-    print(f"{prediction.label}\t{prediction.confidence:.6f}", file=out)
-    return EXIT_OK
+    return f"{prediction.label}\t{prediction.confidence:.6f}"
 
 
 _COMMANDS = {
@@ -362,30 +362,49 @@ _COMMANDS = {
 }
 
 
-def run(argv: list[str], out=None, err=None) -> int:
-    """Parse argv, dispatch, and map errors to exit codes."""
-    out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
-    parser = _build_parser()
+def _outcome(argv: list[str], err) -> tuple[int, str]:
+    """The exit code of argv and the text it prints to stdout. A failure
+    prints one diagnostic line to err and nothing to stdout."""
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        return EXIT_OK, _COMMANDS[args.subcommand](args) + "\n"
+    except _HelpRequested as exc:
+        return EXIT_OK, exc.args[0]
     except _UsageError as exc:
-        print(f"segkit: {exc}", file=err)
-        return EXIT_USAGE
-    except SystemExit as exc:  # --help exits argparse directly
-        return int(exc.code or 0)
-    try:
-        return _COMMANDS[args.subcommand](args, out)
-    except _UsageError as exc:
-        print(f"segkit: {exc}", file=err)
-        return EXIT_USAGE
+        code, problem = EXIT_USAGE, exc
     except FormatError as exc:
-        print(f"segkit: {exc}", file=err)
-        return EXIT_IO
+        code, problem = EXIT_IO, exc
     except PreconditionError as exc:
-        print(f"segkit: {exc}", file=err)
-        return EXIT_PARAM
+        code, problem = EXIT_PARAM, exc
+    print(f"segkit: {problem}", file=err)
+    return code, ""
+
+
+def run(argv: list[str], out=None, err=None) -> int:
+    """Parse argv, dispatch, and map errors to exit codes. The op's stdout
+    text goes to out (default sys.stdout), flushed, once the op is done; a
+    write that fails is an I/O error like the others (exit 2)."""
+    err = err if err is not None else sys.stderr
+    code, text = _outcome(argv, err)
+    try:
+        print(text, end="", file=out, flush=True)
+    except OSError as exc:
+        print(f"segkit: cannot write output: {exc.strerror}", file=err)
+        return EXIT_IO
+    return code
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """The segkit console script: run(sys.argv[1:]), then exit with its code."""
+    code = run(sys.argv[1:])
+    try:
+        print(end="", flush=True)  # fails only if run could not flush stdout
+    except OSError:
+        # run reported it; without this, exit would flush the same bytes
+        # again and print "Exception ignored" (the recipe in the signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    import gc
+    # every live object moves to the permanent generation, which the full
+    # collections of interpreter finalization never traverse
+    gc.freeze()
+    sys.exit(code)

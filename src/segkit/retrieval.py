@@ -79,7 +79,8 @@ class ImageRecord:
         c.flags.writeable = False
         object.__setattr__(self, "counts", c)
         object.__setattr__(self, "total", total)
-        counts = ",".join(map(str, c.tolist()))
+        # ",".join(map(str, c.tolist())), but formatted by one list repr: less work
+        counts = str(c.tolist())[1:-1].replace(", ", ",")
         line = f"{self.id}\t{total}\t{counts}\t{escape_field(self.path)}\t{escape_field(self.description)}"
         object.__setattr__(self, "_line", line)
 

@@ -1,0 +1,163 @@
+"""segkit.cli.main, the console script, run in a fresh interpreter: it gives
+the exit code, stdout, stderr and files of run() in process, freezes the
+garbage collector's objects before the interpreter exits, and reports a
+failed stdout write as exit 2 with one diagnostic line."""
+
+import errno
+import gc
+import io
+import os
+import subprocess
+import sys
+
+import pytest
+
+import segkit
+from segkit.cli import run
+from segkit.raster import GrayImage, encode_pnm
+
+from fixture_builders import noisy_half_image
+
+MAIN = "from segkit.cli import main; main()"
+RULES = "RULE dark : mean IN (0,0,60,100)\nRULE bright : mean IN (100,140,255,255)\n"
+QUERY = ["query", "--index", "good.idx", "--top", "2", "half.pgm"]
+
+# argv run from a directory that make_fixtures filled, and the exit code
+CASES = [
+    (["threshold", "--method", "otsu", "half.pgm", "out.pgm"], 0),
+    (["segment", "--method", "kmeans", "--k", "2", "half.pgm", "out.pgm"], 0),
+    (["segment", "--method", "edge", "--k", "2", "half.pgm", "out.pgm"], 0),
+    (["segment", "--method", "region", "half.pgm", "out.pgm"], 0),
+    (["segment", "--method", "windows", "--window", "5", "--refine", "1",
+      "--exemplar", "0:left.pgm", "--exemplar", "1:right.pgm", "half.pgm", "out.pgm"], 0),
+    (["ingest", "--index", "good.idx", "--desc", "third", "half.pgm"], 0),
+    (QUERY, 0),
+    (["query", "--index", "good.idx", "--top", "2", "--exhaustive", "half.pgm"], 0),
+    (["predict", "--rules", "rules.txt", "half.pgm"], 0),
+    (["--help"], 0),
+    (["segment", "--help"], 0),
+    (["segment", "--method", "kmeans", "half.pgm", "out.pgm"], 1),
+    (["query", "--index", "bad.idx", "--top", "1", "half.pgm"], 2),
+    (["query", "--index", "good.idx", "--top", "0", "half.pgm"], 3),
+]
+
+
+def make_fixtures(directory):
+    """Images, a two-record index, a copy with one total corrupted, and a
+    rule base, all named relative to directory."""
+    pix, _ = noisy_half_image(size=16)
+    for name, part in (("half", pix), ("left", pix[:, :8]), ("right", pix[:, 8:])):
+        (directory / f"{name}.pgm").write_bytes(encode_pnm(GrayImage(part)))
+    (directory / "rules.txt").write_text(RULES)
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        for name in ("left", "right"):
+            assert run(["ingest", "--index", "good.idx", "--desc", name, f"{name}.pgm"], io.StringIO()) == 0
+    finally:
+        os.chdir(cwd)
+    lines = (directory / "good.idx").read_text().split("\n")
+    fields = lines[1].split("\t")
+    fields[1] = str(int(fields[1]) + 1)  # the first record's counts no longer sum to its total
+    lines[1] = "\t".join(fields)
+    (directory / "bad.idx").write_text("\n".join(lines))
+
+
+def files(directory) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def environment(unbuffered=True) -> dict:
+    """This environment with this segkit importable, a fixed help width and
+    PYTHONUNBUFFERED set or unset."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(segkit.__file__)), COLUMNS="80")
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def run_main(argv, cwd, code=MAIN, unbuffered=True, stdout=subprocess.PIPE):
+    return subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=environment(unbuffered),
+                          stdout=stdout, stderr=subprocess.PIPE)
+
+
+@pytest.mark.parametrize("argv, code", CASES, ids=[" ".join(argv) for argv, _ in CASES])
+def test_main_matches_run_in_process(tmp_path, monkeypatch, argv, code):
+    inproc, sub = tmp_path / "inproc", tmp_path / "sub"
+    for directory in (inproc, sub):
+        directory.mkdir()
+        make_fixtures(directory)
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(inproc)
+    out, err = io.StringIO(), io.StringIO()
+    assert run(argv, out, err) == code
+    proc = run_main(argv, sub)
+    assert proc.returncode == code
+    assert proc.stdout.decode() == out.getvalue()
+    assert bool(out.getvalue()) == (code == 0)
+    assert proc.stderr.decode() == err.getvalue()
+    assert files(sub) == files(inproc)
+
+
+def test_objects_are_frozen_when_the_interpreter_exits(tmp_path):
+    make_fixtures(tmp_path)
+    probe = ("import atexit, gc, sys\n"
+             "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n" + MAIN)
+    proc = run_main(QUERY, tmp_path, code=probe)
+    assert proc.returncode == 0 and proc.stdout
+    word, count = proc.stderr.decode().split()
+    assert word == "frozen" and int(count) > 0
+
+
+def test_run_leaves_the_collector_alone(tmp_path, monkeypatch):
+    make_fixtures(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    before = gc.get_freeze_count(), gc.isenabled()
+    for argv, code in CASES:
+        assert run(argv, io.StringIO(), io.StringIO()) == code
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+class FailingOut(io.StringIO):
+    def flush(self):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_run_reports_a_failed_write(tmp_path, monkeypatch):
+    make_fixtures(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    err = io.StringIO()
+    assert run(QUERY, FailingOut(), err) == 2
+    assert err.getvalue() == f"segkit: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("sink", ["dev-full", "closed-pipe"])
+def test_failed_stdout_write_exits_2(tmp_path, sink, unbuffered):
+    make_fixtures(tmp_path)
+    if sink == "dev-full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        stdout, error = os.open("/dev/full", os.O_WRONLY), errno.ENOSPC
+    else:
+        read_end, stdout = os.pipe()
+        os.close(read_end)
+        error = errno.EPIPE
+    try:
+        proc = run_main(QUERY, tmp_path, unbuffered=unbuffered, stdout=stdout)
+    finally:
+        os.close(stdout)
+    assert proc.returncode == 2
+    assert proc.stderr.decode() == f"segkit: cannot write output: {os.strerror(error)}\n"
+
+
+def test_ingest_whose_id_is_lost_has_rewritten_the_index(tmp_path):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    make_fixtures(tmp_path)
+    with open("/dev/full", "wb") as full:
+        proc = run_main(["ingest", "--index", "good.idx", "--desc", "third", "half.pgm"], tmp_path,
+                        unbuffered=False, stdout=full)
+    assert proc.returncode == 2
+    assert (tmp_path / "good.idx").read_text().count("\n") == 4  # header and three records

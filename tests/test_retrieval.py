@@ -175,6 +175,26 @@ class TestImageRecord:
         assert rec.feature.bins.tolist() == [0.75, 0.25, 0.0, 0.0]
         assert rec.pivot_distance == 1.0 and "pivot_distance" in vars(rec)
 
+    @pytest.mark.parametrize("dim", [64, 256])
+    def test_line_joins_counts_with_commas(self, dim):
+        rng = np.random.default_rng(dim)
+        bound = (2**63 - 1) // dim  # the largest total: total * dim < 2**63
+        rows = [np.eye(dim, dtype=np.int64)[0], np.eye(dim, dtype=np.int64)[-1] * bound]
+        # an all-zero row is no record (its total, 0, is refused), so zero rows
+        # here keep a single nonzero bin; then sparse, dense and near-bound rows
+        for i in range(12):
+            row = np.zeros(dim, dtype=np.int64)
+            row[rng.integers(dim)] = rng.integers(1, 10**rng.integers(1, 18))
+            rows.append(row)
+            rows.append(rng.integers(0, 5, dim) * (rng.random(dim) < 0.1) + row)
+            rows.append(rng.integers(0, 10**rng.integers(1, 12), dim))
+            split = np.sort(rng.integers(0, bound - i, dim - 1))
+            rows.append(np.diff(split, prepend=0, append=bound - i))
+        for rec_id, counts in enumerate(rows):
+            rec = record_from_counts(rec_id, counts, path="a b", description="c")
+            assert rec.total <= bound
+            assert rec._line == f"{rec_id}\t{rec.total}\t{','.join(map(str, counts.tolist()))}\ta b\tc"
+
     def test_callers_counts_stay_writeable_and_unshared(self):
         counts = np.array([3, 1, 0, 0], dtype=np.int64)
         rec = record_from_counts(0, counts)
