@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import fcntl
 import os
 import sys
@@ -83,13 +84,11 @@ def _write_atomic_bytes(path: str, data: bytes):
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except OSError as exc:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        raise FormatError(f"cannot write {path}: {exc.strerror}") from None
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise FormatError(f"cannot write {path}: {exc.strerror}") from None
         raise
 
 
@@ -362,47 +361,62 @@ _COMMANDS = {
 }
 
 
-def _outcome(argv: list[str], err) -> tuple[int, str]:
-    """The exit code of argv and the text it prints to stdout. A failure
-    prints one diagnostic line to err and nothing to stdout."""
+def _outcome(argv: list[str]) -> tuple[int, str, str]:
+    """The exit code of argv, the text it prints to stdout, and its
+    diagnostic: one "segkit: " line on a failure, which prints nothing to
+    stdout, and "" on success. Writes nothing."""
     try:
         args = _build_parser().parse_args(argv)
-        return EXIT_OK, _COMMANDS[args.subcommand](args) + "\n"
+        return EXIT_OK, _COMMANDS[args.subcommand](args) + "\n", ""
     except _HelpRequested as exc:
-        return EXIT_OK, exc.args[0]
+        return EXIT_OK, exc.args[0], ""
     except _UsageError as exc:
         code, problem = EXIT_USAGE, exc
     except FormatError as exc:
         code, problem = EXIT_IO, exc
     except PreconditionError as exc:
         code, problem = EXIT_PARAM, exc
-    print(f"segkit: {problem}", file=err)
-    return code, ""
+    return code, "", f"segkit: {problem}\n"
 
 
 def run(argv: list[str], out=None, err=None) -> int:
-    """Parse argv, dispatch, and map errors to exit codes. The op's stdout
-    text goes to out (default sys.stdout), flushed, once the op is done; a
-    write that fails is an I/O error like the others (exit 2)."""
-    err = err if err is not None else sys.stderr
-    code, text = _outcome(argv, err)
+    """Parse argv, dispatch, and map errors to exit codes; the one writer of
+    both streams. The op's stdout text goes to out (default sys.stdout),
+    flushed, once the op is done: a write that fails, or text with no stdout
+    to take it (file descriptor 1 closed at start), is an I/O error like the
+    others (exit 2). The diagnostic goes to err (default sys.stderr) if it
+    can: with no stderr, or one that fails, it is lost, but it never goes to
+    stdout and the exit code stays the op's."""
+    code, text, diagnostic = _outcome(argv)
+    out = sys.stdout if out is None else out
     try:
-        print(text, end="", file=out, flush=True)
+        if text:
+            if out is None:
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+            out.write(text)
+            out.flush()
     except OSError as exc:
-        print(f"segkit: cannot write output: {exc.strerror}", file=err)
-        return EXIT_IO
+        code, diagnostic = EXIT_IO, f"segkit: cannot write output: {exc.strerror}\n"
+    err = sys.stderr if err is None else err
+    if diagnostic and err is not None:
+        with contextlib.suppress(OSError):
+            err.write(diagnostic)
+            err.flush()
     return code
 
 
 def main() -> None:
     """The segkit console script: run(sys.argv[1:]), then exit with its code."""
     code = run(sys.argv[1:])
-    try:
-        print(end="", flush=True)  # fails only if run could not flush stdout
-    except OSError:
-        # run reported it; without this, exit would flush the same bytes
-        # again and print "Exception ignored" (the recipe in the signal docs)
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:
+                stream.flush()  # fails only if run could not flush this stream
+        except OSError:
+            # run handled it; without this, exit would flush the same bytes
+            # again, print "Exception ignored" and exit 120 (the recipe in
+            # the signal docs)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     import gc
     # every live object moves to the permanent generation, which the full
     # collections of interpreter finalization never traverse

@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import PreconditionError, TooFewPoints
-from .raster import GradientMap, GrayImage, LabelMap, _exact_cast, frozen, require_int, sobel_magnitude
+from .raster import GRAY_DIM, GradientMap, GrayImage, LabelMap, _exact_cast, frozen, require_int, sobel_magnitude
 
 DEFAULT_BETA = 2.0
 
@@ -368,6 +368,6 @@ def segment_clustering(
         raise TooFewPoints(f"k={k} exceeds point count n={n}")
     weights = None if beta is None else edge_weights(sobel_magnitude(image), beta).values
     levels = image.pixels.ravel().astype(np.intp)  # cast once for the bincounts and the label gather
-    result = _lloyd(_DistinctPoints(np.arange(256.0).reshape(-1, 1), levels, weights), config)
+    result = _lloyd(_DistinctPoints(np.arange(float(GRAY_DIM)).reshape(-1, 1), levels, weights), config)
     labels = result.assignment.member_of.reshape(image.height, image.width)
     return LabelMap(labels=labels, k=config.k, complete=True), result

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 
 import numpy as np
 
@@ -35,6 +36,13 @@ MAX_WINDOW = (1 << 29) - 1
 # with it one entry's window of samples, stays O(array).
 _PAD_FACTOR = 16
 _PAD_FLOOR = 1 << 20
+
+# A PNM header field: whitespace and '#' comments, each running to a line end
+# (the lookahead keeps a match from cutting one short), then non-space bytes.
+# _HEADER reads the three fields after the magic; a field that the data ends
+# before leaves its group, and those after it, unset.
+_FIELD = rb"(?:\s|#[^\n\r]*(?![^\n\r]))*([^\s#]\S*)"
+_HEADER = re.compile(rb"(?:%s(?:%s(?:%s)?)?)?" % (_FIELD, _FIELD, _FIELD))
 
 
 def _exact_cast(values, dtype: type) -> np.ndarray:
@@ -240,26 +248,6 @@ class FeatureVector:
         return self.bins.size
 
 
-def _read_header_token(buf: bytes, pos: int) -> tuple[bytes, int]:
-    # skip whitespace and '#' comments (comment runs to end of line)
-    n = len(buf)
-    while pos < n:
-        c = buf[pos : pos + 1]
-        if c.isspace():
-            pos += 1
-        elif c == b"#":
-            while pos < n and buf[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        else:
-            break
-    if pos >= n:
-        raise TruncatedData("header ended before all fields were read")
-    start = pos
-    while pos < n and not buf[pos : pos + 1].isspace():
-        pos += 1
-    return buf[start:pos], pos
-
-
 def decode_pnm(data: bytes) -> GrayImage | RgbImage:
     """Decode binary PGM (P5) or PPM (P6) bytes, maxval 255 only.
 
@@ -273,10 +261,11 @@ def decode_pnm(data: bytes) -> GrayImage | RgbImage:
     magic = data[:2]
     if magic not in (b"P5", b"P6"):
         raise BadMagic(f"unsupported magic {magic!r}")
-    pos = 2
+    header = _HEADER.match(data, 2)
     fields = []
-    for _ in range(3):
-        tok, pos = _read_header_token(data, pos)
+    for tok in header.groups():
+        if tok is None:
+            raise TruncatedData("header ended before all fields were read")
         if not tok.isdigit():
             raise TruncatedData(f"malformed header field {tok!r}")
         try:
@@ -288,7 +277,8 @@ def decode_pnm(data: bytes) -> GrayImage | RgbImage:
         raise UnsupportedMaxval(f"maxval {maxval} (only 255 supported)")
     if width < 1 or height < 1:
         raise TruncatedData(f"bad dimensions {width}x{height}")
-    if pos >= len(data) or not data[pos : pos + 1].isspace():
+    pos = header.end()
+    if not data[pos : pos + 1].isspace():
         raise TruncatedData("missing whitespace byte after maxval")
     pos += 1
     channels = 1 if magic == b"P5" else 3

@@ -31,12 +31,14 @@ from __future__ import annotations
 
 import bisect
 import functools
+import re
 from collections.abc import Sequence
 
 import numpy as np
 
 from .errors import BadHeader, BadRecord, DimensionMismatch, EmptyIndex, PreconditionError
-from .raster import FeatureVector, GrayImage, RgbImage, _exact_cast, frozen, global_feature_counts, require_int
+from .raster import (COLOR_DIM, GRAY_DIM, FeatureVector, GrayImage, RgbImage, _exact_cast, frozen,
+                     global_feature_counts, require_int)
 
 FORMAT_VERSION = 1
 _HEADER_TAG = "SEGIDX"
@@ -354,11 +356,17 @@ def search_optimized(
     return _best(table, order[:examined], scores[:examined], top), examined
 
 
+# The escapes of an index text field, (character, escape), backslash first:
+# escape_field applies them in order, so it never re-escapes its own escapes.
+_ESCAPES = (("\\", "\\\\"), ("\t", "\\t"), ("\n", "\\n"), ("\r", "\\r"))
+_UNESCAPES = {escape[1]: char for char, escape in _ESCAPES}
+_BACKSLASH_ESCAPE = re.compile(r"\\(.?)", re.DOTALL)
+
+
 def escape_field(text: str) -> str:
-    return text.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n").replace("\r", "\\r")
-
-
-_ESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
+    for char, escape in _ESCAPES:
+        text = text.replace(char, escape)
+    return text
 
 
 def unescape_field(text: str) -> str:
@@ -368,22 +376,11 @@ def unescape_field(text: str) -> str:
         raise ValueError("raw carriage return in a field")
     if "\\" not in text:
         return text
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\":
-            if i + 1 >= len(text):
-                raise ValueError("dangling backslash")
-            nxt = text[i + 1]
-            if nxt not in _ESCAPES:
-                raise ValueError(f"unknown escape \\{nxt}")
-            out.append(_ESCAPES[nxt])
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    try:
+        return _BACKSLASH_ESCAPE.sub(lambda m: _UNESCAPES[m[1]], text)
+    except KeyError as exc:
+        bad = exc.args[0]  # the first backslash's next character, "" at the end
+        raise ValueError(f"unknown escape \\{bad}" if bad else "dangling backslash") from None
 
 
 def encode_index(index: Index) -> str:
@@ -403,7 +400,7 @@ def encode_index(index: Index) -> str:
     construction, so of them only the width is checked.
     """
     dim = 0 if index.feature_dim is None else require_int(index.feature_dim, "feature_dim")
-    if dim not in (0, 64, 256):
+    if dim not in (0, COLOR_DIM, GRAY_DIM):
         raise PreconditionError(f"unsupported feature dimension {dim}")
     head, tail = index._parts
     start = 0 if head is None else len(head.lines)
@@ -524,7 +521,7 @@ def decode_index(text: str) -> Index:
         raise BadHeader(f"header fields in {lines[0]!r} are not plain decimals") from None
     if version != FORMAT_VERSION:
         raise BadHeader(f"unsupported format version {version}")
-    if dim not in (0, 64, 256):
+    if dim not in (0, COLOR_DIM, GRAY_DIM):
         raise BadHeader(f"unsupported feature dimension {dim}")
     if len(lines) == 1 and not terminated:
         raise BadHeader("header line without a final newline")

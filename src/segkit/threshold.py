@@ -11,9 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EmptyHistogram, NoTwoPeaks, PreconditionError
-from .raster import GrayImage, LabelMap, frozen, pad_edge, require_int, require_odd_window
-
-BINS = 256
+from .raster import (GRAY_DIM, GrayImage, LabelMap, frozen, global_feature_counts, pad_edge, require_int,
+                     require_odd_window)
 
 DEFAULT_SMOOTH_WINDOW = 5
 DEFAULT_MIN_SEPARATION = 16
@@ -30,7 +29,7 @@ class Histogram:
         # not raster._exact_cast, and elementwise: object arrays of ints past
         # the float range keep their dtype for otsu_threshold
         c = np.asarray(self.counts)
-        if c.shape != (BINS,):
+        if c.shape != (GRAY_DIM,):
             raise PreconditionError("histogram needs exactly 256 bins")
         if (c != c).any() or (abs(c) == np.inf).any():
             raise PreconditionError("counts must be finite")
@@ -57,8 +56,8 @@ class ThresholdReport:
 
 
 def gray_histogram(image: GrayImage) -> Histogram:
-    counts = np.bincount(image.pixels.ravel(), minlength=BINS).astype(np.int64)
-    return Histogram(counts)
+    """global_feature_counts as a Histogram: PreconditionError for an RgbImage."""
+    return Histogram(global_feature_counts(image)[0])
 
 
 def smooth_histogram(h: Histogram, window: int) -> Histogram:

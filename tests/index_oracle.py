@@ -20,9 +20,9 @@ from segkit.retrieval import (
     ImageRecord,
     Index,
     RankedResult,
-    escape_field,
-    unescape_field,
 )
+
+from format_oracle import escape_field, unescape_field
 
 
 def pivot_distance(counts: np.ndarray, total: int) -> float:

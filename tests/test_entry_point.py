@@ -1,9 +1,12 @@
 """segkit.cli.main, the console script, run in a fresh interpreter: it gives
 the exit code, stdout, stderr and files of run() in process, freezes the
 garbage collector's objects before the interpreter exits, and reports a
-failed stdout write as exit 2 with one diagnostic line."""
+failed stdout write, or a stdout closed at start, as exit 2 with one
+diagnostic line. A diagnostic that cannot be written is lost: it never
+reaches stdout and never changes the exit code."""
 
 import errno
+import functools
 import gc
 import io
 import os
@@ -77,9 +80,13 @@ def environment(unbuffered=True) -> dict:
     return env
 
 
-def run_main(argv, cwd, code=MAIN, unbuffered=True, stdout=subprocess.PIPE):
+def run_main(argv, cwd, code=MAIN, unbuffered=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE, closed=None):
+    """main() on argv in a fresh interpreter (sys.executable, never a shim
+    that could reopen a closed descriptor), with file descriptor closed, if
+    given, shut before it starts."""
+    close = None if closed is None else functools.partial(os.close, closed)
     return subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=environment(unbuffered),
-                          stdout=stdout, stderr=subprocess.PIPE)
+                          stdout=stdout, stderr=stderr, preexec_fn=close)
 
 
 @pytest.mark.parametrize("argv, code", CASES, ids=[" ".join(argv) for argv, _ in CASES])
@@ -161,3 +168,58 @@ def test_ingest_whose_id_is_lost_has_rewritten_the_index(tmp_path):
                         unbuffered=False, stdout=full)
     assert proc.returncode == 2
     assert (tmp_path / "good.idx").read_text().count("\n") == 4  # header and three records
+
+
+MISSING = ["query", "--index", "missing.idx", "--top", "2", "half.pgm"]
+TOP_0 = ["query", "--index", "good.idx", "--top", "0", "half.pgm"]
+BUFFERING = pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+
+
+@BUFFERING
+def test_closed_stdout_exits_2(tmp_path, unbuffered):
+    make_fixtures(tmp_path)
+    proc = run_main(QUERY, tmp_path, unbuffered=unbuffered, closed=1)
+    assert proc.returncode == 2
+    assert proc.stderr.decode() == f"segkit: cannot write output: {os.strerror(errno.EBADF)}\n"
+
+
+@BUFFERING
+def test_closed_stderr_keeps_the_diagnostic_off_stdout(tmp_path, unbuffered):
+    make_fixtures(tmp_path)
+    proc = run_main(MISSING, tmp_path, unbuffered=unbuffered, closed=2)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    proc = run_main(QUERY, tmp_path, unbuffered=unbuffered, closed=2)
+    assert proc.returncode == 0 and proc.stdout.startswith(b"1\t")
+
+
+@BUFFERING
+@pytest.mark.parametrize("argv, code", [(TOP_0, 3), (MISSING, 2)], ids=["top-0", "missing-index"])
+def test_failed_stderr_write_keeps_the_exit_code(tmp_path, unbuffered, argv, code):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    make_fixtures(tmp_path)
+    with open("/dev/full", "wb") as full:
+        proc = run_main(argv, tmp_path, unbuffered=unbuffered, stderr=full)
+    assert (proc.returncode, proc.stdout) == (code, b"")
+
+
+class FailingErr(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_run_keeps_the_exit_code_when_err_fails(tmp_path, monkeypatch):
+    make_fixtures(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    out = io.StringIO()
+    assert run(TOP_0, out, FailingErr()) == 3
+    assert out.getvalue() == ""
+
+
+def test_run_without_streams(tmp_path, monkeypatch):
+    make_fixtures(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "stdout", None)
+    monkeypatch.setattr(sys, "stderr", None)
+    assert run(QUERY) == 2
+    assert run(TOP_0) == 3

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from segkit.errors import EmptyHistogram, EvenWindow, NoTwoPeaks, PreconditionError
-from segkit.raster import GrayImage
+from segkit.raster import GrayImage, RgbImage
 from segkit.threshold import (
     Histogram,
     _local_maxima,
@@ -45,6 +45,11 @@ class TestGrayHistogram:
     def test_total_conservation(self):
         img = GrayImage(lcg_bytes(3, 60).reshape(6, 10))
         assert gray_histogram(img).total == 60
+
+    def test_color_image_is_refused(self):
+        # its 64 color bins, not its 3 * height * width samples counted as gray
+        with pytest.raises(PreconditionError, match="256 bins"):
+            gray_histogram(RgbImage(np.zeros((2, 2, 3), dtype=np.uint8)))
 
 
 class TestSmoothHistogram:
