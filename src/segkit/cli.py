@@ -4,7 +4,8 @@ Subcommands: threshold, segment, ingest, query, predict. Exit codes:
 0 success, 1 usage error, 2 I/O or file-format error, 3 invalid
 parameters or an algorithm precondition failure. Diagnostics go to
 stderr; output files are written atomically (temp file + rename) and are
-never left behind on failure.
+never left behind on failure. A new output file gets mode 0o666 less the
+umask, and a replaced one keeps its mode.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import contextlib
 import errno
 import fcntl
 import os
+import stat
 import sys
 import tempfile
 from typing import TYPE_CHECKING
@@ -77,10 +79,17 @@ def _read_gray(path: str) -> GrayImage:
 def _write_atomic_bytes(path: str, data: bytes):
     directory = os.path.dirname(os.path.abspath(path))
     try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except OSError:  # a new file: what open(path, "w") would give it
+        umask = os.umask(0)  # umask is read by setting it; the CLI has one thread
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".segkit-tmp")
     except OSError as exc:
         raise FormatError(f"cannot write {path}: {exc.strerror}") from None
     try:
+        os.fchmod(fd, mode)  # mkstemp creates the file 0o600
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
@@ -92,11 +101,17 @@ def _write_atomic_bytes(path: str, data: bytes):
         raise
 
 
+def _require_8bit_labels(k: int):
+    """Raise PreconditionError when k labels do not fit an exported 8-bit
+    label map; segment calls this as soon as it knows k."""
+    if k > 256:
+        raise PreconditionError(f"cannot export {k} labels as 8-bit gray")
+
+
 def _export_labels(labels: LabelMap, path: str):
     """Write a label map as a P5 PGM with label l mapped to gray value
     l * floor(255 / max(k - 1, 1)); rejects k > 256."""
-    if labels.k > 256:
-        raise PreconditionError(f"cannot export {labels.k} labels as 8-bit gray")
+    _require_8bit_labels(labels.k)
     scale = 255 // max(labels.k - 1, 1)
     gray = GrayImage((labels.labels * scale).astype(np.uint8))
     _write_atomic_bytes(path, encode_pnm(gray))
@@ -204,8 +219,11 @@ def _cmd_threshold(args) -> str:
     return str(report.level)
 
 
-def _segment_clustering(args, image: GrayImage, method: str) -> tuple[LabelMap, clustering.ClusteringResult]:
-    """K-means (method "kmeans") or edge-weighted K-means ("edge") of image."""
+def _segment_clustering(
+    args, image: GrayImage, method: str, exported: bool
+) -> tuple[LabelMap, clustering.ClusteringResult]:
+    """K-means (method "kmeans") or edge-weighted K-means ("edge") of image;
+    the k of a label map to be exported is checked before the work."""
     from . import clustering
     if args.k is None:
         raise _UsageError("--k is required for kmeans/edge segmentation")
@@ -213,6 +231,8 @@ def _segment_clustering(args, image: GrayImage, method: str) -> tuple[LabelMap, 
     if options.get("init") == "random":
         options["init"] = "seeded-random"
     config = clustering.ClusteringConfig(k=args.k, **options)
+    if exported:
+        _require_8bit_labels(config.k)
     beta = None
     if method == "edge":
         beta = clustering.DEFAULT_BETA if args.beta is None else args.beta
@@ -243,7 +263,7 @@ def _parse_exemplars(specs: list[str]) -> list[features.Exemplar]:
 def _cmd_segment(args) -> str:
     image = _read_gray(args.input)
     if args.method in ("kmeans", "edge"):
-        labels, result = _segment_clustering(args, image, args.method)
+        labels, result = _segment_clustering(args, image, args.method, exported=True)
         _export_labels(labels, args.output)
         return f"sse\t{result.sse_trace[-1]:.6f}"
     if args.method == "region":
@@ -254,6 +274,7 @@ def _cmd_segment(args) -> str:
         exemplars = _parse_exemplars(args.exemplar)
         if not exemplars:
             raise _UsageError("--method windows requires at least one --exemplar")
+        _require_8bit_labels(max(e.label for e in exemplars) + 1)
         window = features.DEFAULT_WINDOW if args.window is None else args.window
         labels = features.classify_windows(image, exemplars, window)
         if args.refine:
@@ -331,7 +352,7 @@ def _image_features(args, image: GrayImage) -> dict[str, float]:
         result = region.primary_segment(image, _region_params(args))
         stats = result.stats
     else:
-        labels, _ = _segment_clustering(args, image, args.segment_method)
+        labels, _ = _segment_clustering(args, image, args.segment_method, exported=False)
         stats = region.region_stats(labels, image)
     dominant = max(stats, key=lambda s: (s.size, -s.label))
     return {

@@ -131,9 +131,11 @@ def _slide_bounds(window: int, steps: int) -> np.ndarray:
     - An update adds, over the distinct touched bins, the rounded difference
       of a new and an old term: 3uM + 3uM for the terms, at most 3uM for the
       differences, gamma_(2 * window - 1) 2M (1 + 5u) <= 5 * window * uM for
-      summing the 2 * window addends (2 * window * u < 2**-23 up to
-      MAX_WINDOW) and uM for adding the sum into a distance, which stays
-      below M: eps_step = (5 * window + 11) uM.
+      summing the 2 * window addends (2 * window * u < 2**-23: pad_edge
+      first padded the image into a real uint8 array of at least window**2
+      bytes, under 2**57, the largest user address space, so window < 2**29)
+      and uM for adding the sum into a distance, which stays below M:
+      eps_step = (5 * window + 11) uM.
     After t updates a slid distance is within eps_dense + t * eps_step of
     the real one, and _l1's within eps_dense; a lead of more than twice
     their sum in the slid distances is a strict lead in _l1's."""

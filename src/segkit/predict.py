@@ -15,6 +15,7 @@ with '#' comments and blank lines ignored, and knots a <= b <= c <= d.
 
 from __future__ import annotations
 
+import math
 import re
 
 from .errors import (
@@ -75,7 +76,10 @@ class Prediction:
 
 
 def trapezoid_membership(value: float, t: Trapezoid) -> float:
-    """Degree in [0, 1] of value under the trapezoid."""
+    """Degree in [0, 1] of value under the trapezoid; PreconditionError for
+    a value that is not finite, which has no degree."""
+    if not math.isfinite(value):
+        raise PreconditionError(f"feature value must be finite, got {value!r}")
     if value < t.a or value > t.d:
         return 0.0
     if t.b <= value <= t.c:

@@ -27,10 +27,6 @@ COLOR_DIM = 64
 
 _NORMALIZATION_TOL = 1e-9
 
-# Largest window require_odd_window accepts. pad_edge refuses larger ones for
-# any image under 2**54 px, but features._slide_bounds needs this bound.
-MAX_WINDOW = (1 << 29) - 1
-
 # An array padded for a window may hold up to this many times the array's
 # entries, or _PAD_FLOOR entries where that is more, so that the padding, and
 # with it one entry's window of samples, stays O(array).
@@ -305,11 +301,10 @@ def encode_pnm(image: GrayImage | RgbImage) -> bytes:
 
 
 def to_gray(image: RgbImage) -> GrayImage:
-    """Convert color to gray via 0.299 R + 0.587 G + 0.114 B, rounded half up."""
-    p = image.pixels.astype(np.float64)
-    luma = 0.299 * p[:, :, 0] + 0.587 * p[:, :, 1] + 0.114 * p[:, :, 2]
-    out = np.clip(np.floor(luma + 0.5), 0, 255).astype(np.uint8)
-    return GrayImage(out)
+    """Convert color to gray via 0.299 R + 0.587 G + 0.114 B, rounded half
+    up: (299 R + 587 G + 114 B + 500) // 1000, exact in int32."""
+    p = image.pixels.astype(np.int32)
+    return GrayImage(((299 * p[..., 0] + 587 * p[..., 1] + 114 * p[..., 2] + 500) // 1000).astype(np.uint8))
 
 
 def window_sums(values: np.ndarray, window: int) -> np.ndarray:
@@ -349,13 +344,11 @@ def pad_edge(values: np.ndarray, radius: int) -> np.ndarray:
 
 def require_odd_window(window: int) -> int:
     """window as a Python int. Raise PreconditionError unless it is an
-    integer (require_int), EvenWindow unless it is odd and >= 1, and
-    PreconditionError when it exceeds MAX_WINDOW."""
+    integer (require_int) and EvenWindow unless it is odd and >= 1; how
+    large it may be is pad_edge's rule."""
     window = require_int(window, "window")
     if window < 1 or window % 2 == 0:
         raise EvenWindow(f"window must be odd and >= 1, got {window}")
-    if window > MAX_WINDOW:
-        raise PreconditionError(f"window {window} exceeds {MAX_WINDOW}")
     return window
 
 
@@ -437,9 +430,8 @@ def global_feature_counts(image: GrayImage | RgbImage) -> tuple[np.ndarray, int]
     if isinstance(image, GrayImage):
         counts = np.bincount(image.pixels.ravel(), minlength=GRAY_DIM)
     elif isinstance(image, RgbImage):
-        p = image.pixels.astype(np.int64)
-        idx = (p[:, :, 0] // 64) * 16 + (p[:, :, 1] // 64) * 4 + p[:, :, 2] // 64
-        counts = np.bincount(idx.ravel(), minlength=COLOR_DIM)
+        q = image.pixels >> 6  # uint8 throughout: the index is at most 63
+        counts = np.bincount((q[..., 0] << 4 | q[..., 1] << 2 | q[..., 2]).ravel(), minlength=COLOR_DIM)
     else:
         raise TypeError(f"expected GrayImage or RgbImage, got {type(image).__name__}")
     return counts.astype(np.int64), int(counts.sum())

@@ -2,8 +2,9 @@
 
 Two threshold selectors are provided: an explicit valley search between the
 two dominant histogram peaks, and Otsu's between-class-variance maximizer.
-Otsu scores are compared in exact integer arithmetic so the reported level
-never depends on floating-point rounding.
+Otsu scores, and the valley search's window sums of integer counts, are
+compared in exact integer arithmetic so the reported level never depends on
+floating-point rounding.
 """
 
 from __future__ import annotations
@@ -73,6 +74,15 @@ def smooth_histogram(h: Histogram, window: int) -> Histogram:
     return Histogram(np.convolve(padded, np.ones(window) / window, mode="valid"))
 
 
+def _window_sums(counts: np.ndarray, window: int) -> np.ndarray:
+    """Exact sums, as Python ints, of integer counts over each bin's window
+    with edge replication: smooth_histogram's averages times window, so they
+    order the same way, with no rounding and no int64 wraparound."""
+    window = require_odd_window(window)
+    running = np.cumsum(pad_edge(counts, window // 2), dtype=object)
+    return running[window - 1 :] - np.r_[0, running[:-window]]
+
+
 def _local_maxima(counts: np.ndarray) -> list[int]:
     """Bins that are >= both existing neighbors and > at least one of them.
 
@@ -97,12 +107,18 @@ def valley_threshold(
     a bin lies between them) the pair with the largest values wins
     (compared by higher value, then lower value, then lower bins). The
     level is the argmin strictly between the two peak bins; all ties
-    resolve to the lowest bin.
+    resolve to the lowest bin. Integer counts are smoothed to their exact
+    window sums (_window_sums), real-valued ones by smooth_histogram. A
+    window of 511 or more covers every bin from every bin, so its sums are
+    linear in the bin and never hold two peaks.
 
     Raises NoTwoPeaks when no sufficiently separated pair exists.
     """
     min_separation = require_int(min_separation, "min_separation")
-    smoothed = smooth_histogram(h, smooth_window).counts
+    if np.issubdtype(h.counts.dtype, np.integer):
+        smoothed = _window_sums(h.counts, smooth_window)
+    else:
+        smoothed = smooth_histogram(h, smooth_window).counts
     maxima = _local_maxima(smoothed)
     best = None
     for i in range(len(maxima)):

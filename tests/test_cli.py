@@ -3,6 +3,8 @@ import fcntl
 import io
 import multiprocessing
 import os
+import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +28,15 @@ def invoke(argv):
     out, err = io.StringIO(), io.StringIO()
     code = run(argv, out=out, err=err)
     return code, out.getvalue(), err.getvalue()
+
+
+def traced_peak(argv):
+    """invoke(argv) and the peak bytes that tracemalloc saw it allocate."""
+    tracemalloc.start()
+    try:
+        return invoke(argv), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def ingest_loop(worker, index, image, n, barrier, results):
@@ -92,6 +103,18 @@ class TestThresholdCommand:
         assert code == 3
         assert not out.exists()
         assert err
+
+    def test_valley_tie_goes_to_the_lowest_bin(self, tmp_path):
+        # bins 100 and 150 both have the window-5 sum 10, whose float
+        # averages are 2.0 and 1.9999999999999998
+        counts = np.full(256, 5)
+        counts[[20, 230]] = 100
+        counts[98:103] = [2, 3, 3, 1, 1]
+        counts[148:153] = [2, 3, 2, 2, 1]
+        src = tmp_path / "tie.pgm"
+        write_pgm(src, np.repeat(np.arange(256), counts)[None, :])
+        code, stdout, err = invoke(["threshold", "--method", "valley", str(src), str(tmp_path / "o.pgm")])
+        assert (code, stdout, err) == (0, "100\n", "")
 
     def test_missing_input_exits_2(self, tmp_path):
         out = tmp_path / "o.pgm"
@@ -186,6 +209,47 @@ class TestSegmentCommand:
         code, _, _ = invoke(["segment", "--method", "kmeans", "--k", "9", str(src), str(out)])
         assert code == 3 and not out.exists()
 
+    @pytest.mark.parametrize("method", ["kmeans", "edge"])
+    def test_k_past_8_bits_exits_3_before_clustering(self, tmp_path, method):
+        # clustering a 256x256 image into 8000 classes first took 31 MB
+        src = tmp_path / "noise.pgm"
+        write_pgm(src, lcg_bytes(3, 256 * 256).reshape(256, 256))
+        out = tmp_path / "o.pgm"
+        got, peak = traced_peak(["segment", "--method", method, "--k", "8000", str(src), str(out)])
+        assert got == (3, "", "segkit: cannot export 8000 labels as 8-bit gray\n")
+        assert peak < 4 << 20 and not out.exists()
+
+    def test_k_past_8_bits_and_the_pixel_count_names_the_label_limit(self, tmp_path):
+        src = tmp_path / "tiny.pgm"
+        write_pgm(src, [[1, 2], [3, 4]])
+        got = invoke(["segment", "--method", "kmeans", "--k", "300", str(src), str(tmp_path / "o.pgm")])
+        assert got == (3, "", "segkit: cannot export 300 labels as 8-bit gray\n")
+
+    def test_exemplar_label_past_8_bits_exits_3_before_classifying(self, tmp_path):
+        # refining labels 0 and 10**7 first sized bincount and label_bounds by
+        # the largest label: 381 MB
+        pix = np.zeros((32, 32), dtype=np.uint8)
+        pix[:, 16:] = 200
+        src, dark, bright = tmp_path / "img.pgm", tmp_path / "dark.pgm", tmp_path / "bright.pgm"
+        write_pgm(src, pix)
+        write_pgm(dark, pix[:, :16])
+        write_pgm(bright, pix[:, 16:])
+        out = tmp_path / "o.pgm"
+        got, peak = traced_peak(["segment", "--method", "windows", "--exemplar", f"0:{dark}",
+                                 "--exemplar", f"10000000:{bright}", "--refine", "1", str(src), str(out)])
+        assert got == (3, "", "segkit: cannot export 10000001 labels as 8-bit gray\n")
+        assert peak < 4 << 20 and not out.exists()
+
+    def test_predict_keeps_k_past_8_bits(self, tmp_path):
+        # predict exports no label map
+        src = tmp_path / "noise.pgm"
+        write_pgm(src, lcg_bytes(4, 32 * 32).reshape(32, 32))
+        rules = tmp_path / "rules.txt"
+        rules.write_text("RULE any : mean IN (0,0,255,255)\n")
+        code, stdout, _ = invoke(["predict", "--rules", str(rules), "--segment-method", "kmeans",
+                                  "--k", "300", str(src)])
+        assert (code, stdout) == (0, "any\t1.000000\n")
+
 
 class TestIngestAndQuery:
     def make_images(self, tmp_path):
@@ -196,6 +260,30 @@ class TestIngestAndQuery:
             write_pgm(p, pix)
             paths.append(p)
         return paths
+
+    def test_new_output_files_get_the_umask_mode(self, tmp_path):
+        idx, out = tmp_path / "idx.tsv", tmp_path / "bin.pgm"
+        image = str(self.make_images(tmp_path)[0])
+        umask = os.umask(0o022)
+        try:
+            assert invoke(["ingest", "--index", str(idx), "--desc", "d", image])[0] == 0
+            assert invoke(["threshold", "--method", "otsu", image, str(out)])[0] == 0
+        finally:
+            os.umask(umask)
+        assert [stat.S_IMODE(p.stat().st_mode) for p in (idx, out)] == [0o644, 0o644]
+
+    def test_rewritten_index_keeps_its_mode(self, tmp_path):
+        idx = tmp_path / "idx.tsv"
+        images = self.make_images(tmp_path)
+        umask = os.umask(0o022)
+        try:
+            assert invoke(["ingest", "--index", str(idx), "--desc", "a", str(images[0])])[0] == 0
+            idx.chmod(0o640)
+            assert invoke(["ingest", "--index", str(idx), "--desc", "b", str(images[1])])[0] == 0
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(idx.stat().st_mode) == 0o640
+        assert len(decode_index(idx.read_text()).records) == 2
 
     def test_ingest_prints_sequential_ids(self, tmp_path):
         idx = tmp_path / "idx.tsv"

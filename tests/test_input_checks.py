@@ -10,9 +10,9 @@ import pytest
 
 from segkit.cli import run
 from segkit.clustering import Assignment, ClusterModel, PointSet, Weights, update_centers, weighted_sse
-from segkit.errors import PreconditionError
+from segkit.errors import NoTwoPeaks, PreconditionError
 from segkit.features import FeatureVector, local_histogram
-from segkit.raster import GradientMap, GrayImage, LabelMap, encode_pnm
+from segkit.raster import GradientMap, GrayImage, LabelMap, decode_pnm, encode_pnm
 from segkit.region import RegionParams, merge_small_regions
 from segkit.retrieval import ImageRecord, Index, ingest, search_exhaustive, search_optimized
 from segkit.threshold import binarize, gray_histogram, valley_threshold
@@ -42,7 +42,31 @@ def test_valley_window_past_the_padding_bound_exits_3_at_once(tmp_path):
 
 
 def test_valley_widest_window_keeps_its_level(tmp_path):
-    assert valley(bimodal(tmp_path), 1048321, str(tmp_path / "out.pgm")) == (0, "183\n")
+    # the widest window still pads (the padding bound's diagnostic would name
+    # the window radius), and like every window of 511 or more its exact sums
+    # hold no two peaks: the level 183 that the float averages gave was noise
+    stdout, stderr = io.StringIO(), io.StringIO()
+    argv = ["threshold", "--method", "valley", "--window", "1048321", bimodal(tmp_path), str(tmp_path / "o.pgm")]
+    code = run(argv, out=stdout, err=stderr)
+    assert (code, stdout.getvalue()) == (3, "")
+    assert stderr.getvalue() == "segkit: no two local maxima separated by >= 16 bins\n"
+
+
+@pytest.mark.parametrize("window", [511, 513, 601, 4001])
+def test_valley_windows_of_511_and_more_have_no_two_peaks(tmp_path, window):
+    # they cover all 256 bins from every bin, so the window sums are linear
+    # in the bin; the float averages gave levels at 601 and 4001
+    with open(bimodal(tmp_path), "rb") as fh:
+        hist = gray_histogram(decode_pnm(fh.read()))
+    assert valley_threshold(hist).level == 45
+    with pytest.raises(NoTwoPeaks):
+        valley_threshold(hist, window)
+
+
+def test_window_past_2_to_the_29_is_refused_by_the_padding_bound():
+    image = GrayImage(np.arange(16, dtype=np.uint8).reshape(4, 4))
+    with pytest.raises(PreconditionError, match="too large"):
+        local_histogram(image, 0, 0, 2**29 + 1)
 
 
 def test_local_histogram_window_past_the_padding_bound_raises():

@@ -6,6 +6,7 @@ from segkit.errors import (
     DuplicateFeatureInRule,
     EmptyRuleBase,
     MissingFeature,
+    PreconditionError,
     RuleSyntaxError,
 )
 from segkit.predict import (
@@ -56,6 +57,13 @@ class TestTrapezoidMembership:
         with pytest.raises(BadKnots):
             Trapezoid(5, 2, 8, 9)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("knots", [(0, 1, 2, 3), (0, 1, 5, 5)])
+    def test_non_finite_value_rejected(self, value, knots):
+        # nan once kept min(degree, nan) at 1.0, or divided by d - c = 0
+        with pytest.raises(PreconditionError):
+            trapezoid_membership(value, Trapezoid(*knots))
+
 
 class TestRuleActivation:
     def test_all_memberships_one(self):
@@ -92,6 +100,11 @@ class TestRuleActivation:
 
 
 class TestPredictLabel:
+    def test_nan_feature_is_no_full_membership(self):
+        rb = parse_rulebase("RULE a : x IN (0,1,2,3)\nRULE b : y IN (0,1,2,3)\n")
+        with pytest.raises(PreconditionError, match="finite"):
+            predict_label(rb, {"x": float("nan"), "y": 1.5})
+
     def test_single_rule_full_activation(self):
         rb = RuleBase((rule("bright", ("mean", Trapezoid(0, 0, 255, 255))),))
         p = predict_label(rb, {"mean": 100})

@@ -12,6 +12,7 @@ from segkit.raster import (
     box_smooth,
     decode_pnm,
     encode_pnm,
+    global_feature_counts,
     sobel_magnitude,
     to_gray,
 )
@@ -112,6 +113,29 @@ class TestToGray:
     def test_pure_red(self):
         img = RgbImage(np.array([[[255, 0, 0]]], dtype=np.uint8))
         assert to_gray(img).pixels[0, 0] == 76  # round(0.299 * 255)
+
+    def test_exact_half_rounds_up(self):
+        # 0.299 * 17 + 0.587 * 91 = 58.5 exactly; float64 rounded it to 58
+        img = RgbImage(np.array([[[17, 91, 0]]], dtype=np.uint8))
+        assert to_gray(img).pixels[0, 0] == 59
+
+    def test_integer_formula_on_every_triple(self):
+        # one image per red level holds every (green, blue) pair
+        g, b = (a.astype(np.int64) for a in np.meshgrid(np.arange(256), np.arange(256), indexing="ij"))
+        for r in range(256):
+            img = RgbImage(np.stack(np.broadcast_arrays(r, g, b), axis=2))
+            want = (299 * r + 587 * g + 114 * b + 500) // 1000
+            assert np.array_equal(to_gray(img).pixels, want), f"red {r}"
+
+
+class TestColorCounts:
+    @pytest.mark.parametrize("seed, shape", [(0, (1, 1)), (1, (7, 13)), (2, (64, 64)), (3, (5, 300))])
+    def test_counts_are_the_div_64_bins(self, seed, shape):
+        p = np.random.default_rng(seed).integers(0, 256, (*shape, 3), dtype=np.uint8)
+        q = p.astype(np.int64) // 64
+        want = np.bincount((q[..., 0] * 16 + q[..., 1] * 4 + q[..., 2]).ravel(), minlength=64)
+        counts, total = global_feature_counts(RgbImage(p))
+        assert (counts.dtype, counts.tolist(), total) == (np.int64, want.tolist(), p.shape[0] * p.shape[1])
 
 
 class TestBoxSmooth:

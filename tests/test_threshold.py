@@ -11,6 +11,7 @@ from segkit.raster import GrayImage, RgbImage
 from segkit.threshold import (
     Histogram,
     _local_maxima,
+    _window_sums,
     binarize,
     gray_histogram,
     otsu_threshold,
@@ -116,6 +117,36 @@ def test_smooth_histogram_padding_bound():
     assert widest.tobytes() == padded_smooth(counts, 1048321).tobytes()
     with pytest.raises(PreconditionError):
         smooth_histogram(Histogram(counts), 1048323)
+
+
+def window_sums_loop(counts, window):
+    """Reference for _window_sums: each bin's window of edge-replicated
+    bins, summed as Python ints."""
+    c, r = [int(v) for v in counts], window // 2
+    return [sum(c[min(max(j, 0), 255)] for j in range(i - r, i + r + 1)) for i in range(256)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.one_of(
+        arrays(np.uint8, 256),
+        arrays(np.int64, 256, elements=st.integers(0, 2**63 - 1)),
+        arrays(np.uint64, 256, elements=st.integers(0, 2**64 - 1)),
+    ),
+    st.integers(0, 40).map(lambda r: 2 * r + 1),
+)
+def test_window_sums_are_exact(counts, window):
+    # int64 sums of these counts would wrap
+    assert _window_sums(counts, window).tolist() == window_sums_loop(counts, window)
+
+
+def test_valley_decides_integer_counts_on_exact_sums():
+    # int64 counts of 2**60 order exactly, where float averages tie
+    counts = np.full(256, 2**60, dtype=np.int64)
+    counts[[30, 220]] += 2**20
+    counts[120] -= 1
+    assert valley_threshold(Histogram(counts), 1).level == 120
+    assert valley_threshold(Histogram(counts.astype(np.float64)), 1).level == 31
 
 
 def two_peak_fixture():
