@@ -17,7 +17,6 @@ import fcntl
 import os
 import stat
 import sys
-import tempfile
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -77,20 +76,17 @@ def _read_gray(path: str) -> GrayImage:
 
 
 def _write_atomic_bytes(path: str, data: bytes):
-    directory = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".segkit-tmp{os.urandom(6).hex()}")
     try:
-        mode = stat.S_IMODE(os.stat(path).st_mode)
-    except OSError:  # a new file: what open(path, "w") would give it
-        umask = os.umask(0)  # umask is read by setting it; the CLI has one thread
-        os.umask(umask)
-        mode = 0o666 & ~umask
-    try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".segkit-tmp")
+        # the kernel applies the umask, as for a file open(path, "w") creates
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:
         raise FormatError(f"cannot write {path}: {exc.strerror}") from None
     try:
-        os.fchmod(fd, mode)  # mkstemp creates the file 0o600
         with os.fdopen(fd, "wb") as fh:
+            # a replaced file keeps its mode where the file system allows chmod
+            with contextlib.suppress(OSError):
+                os.fchmod(fh.fileno(), stat.S_IMODE(os.stat(path).st_mode))
             fh.write(data)
         os.replace(tmp, path)
     except BaseException as exc:
@@ -219,11 +215,8 @@ def _cmd_threshold(args) -> str:
     return str(report.level)
 
 
-def _segment_clustering(
-    args, image: GrayImage, method: str, exported: bool
-) -> tuple[LabelMap, clustering.ClusteringResult]:
-    """K-means (method "kmeans") or edge-weighted K-means ("edge") of image;
-    the k of a label map to be exported is checked before the work."""
+def _segment_clustering(args, image: GrayImage, method: str) -> tuple[LabelMap, clustering.ClusteringResult]:
+    """K-means (method "kmeans") or edge-weighted K-means ("edge") of image."""
     from . import clustering
     if args.k is None:
         raise _UsageError("--k is required for kmeans/edge segmentation")
@@ -231,8 +224,6 @@ def _segment_clustering(
     if options.get("init") == "random":
         options["init"] = "seeded-random"
     config = clustering.ClusteringConfig(k=args.k, **options)
-    if exported:
-        _require_8bit_labels(config.k)
     beta = None
     if method == "edge":
         beta = clustering.DEFAULT_BETA if args.beta is None else args.beta
@@ -263,7 +254,9 @@ def _parse_exemplars(specs: list[str]) -> list[features.Exemplar]:
 def _cmd_segment(args) -> str:
     image = _read_gray(args.input)
     if args.method in ("kmeans", "edge"):
-        labels, result = _segment_clustering(args, image, args.method, exported=True)
+        if args.k is not None:
+            _require_8bit_labels(args.k)
+        labels, result = _segment_clustering(args, image, args.method)
         _export_labels(labels, args.output)
         return f"sse\t{result.sse_trace[-1]:.6f}"
     if args.method == "region":
@@ -352,7 +345,7 @@ def _image_features(args, image: GrayImage) -> dict[str, float]:
         result = region.primary_segment(image, _region_params(args))
         stats = result.stats
     else:
-        labels, _ = _segment_clustering(args, image, args.segment_method, exported=False)
+        labels, _ = _segment_clustering(args, image, args.segment_method)
         stats = region.region_stats(labels, image)
     dominant = max(stats, key=lambda s: (s.size, -s.label))
     return {

@@ -2,9 +2,9 @@
 
 Two threshold selectors are provided: an explicit valley search between the
 two dominant histogram peaks, and Otsu's between-class-variance maximizer.
-Otsu scores, and the valley search's window sums of integer counts, are
-compared in exact integer arithmetic so the reported level never depends on
-floating-point rounding.
+Both take integer counts: Otsu scores and the valley search's window sums
+are compared in exact integer arithmetic so the reported level never
+depends on floating-point rounding.
 """
 
 from __future__ import annotations
@@ -107,18 +107,17 @@ def valley_threshold(
     a bin lies between them) the pair with the largest values wins
     (compared by higher value, then lower value, then lower bins). The
     level is the argmin strictly between the two peak bins; all ties
-    resolve to the lowest bin. Integer counts are smoothed to their exact
-    window sums (_window_sums), real-valued ones by smooth_histogram. A
-    window of 511 or more covers every bin from every bin, so its sums are
-    linear in the bin and never hold two peaks.
+    resolve to the lowest bin. Smoothing is by exact window sums
+    (_window_sums), so the counts must be integers, as for otsu_threshold.
+    A window of 511 or more covers every bin from every bin, so its sums
+    are linear in the bin and never hold two peaks.
 
     Raises NoTwoPeaks when no sufficiently separated pair exists.
     """
     min_separation = require_int(min_separation, "min_separation")
-    if np.issubdtype(h.counts.dtype, np.integer):
-        smoothed = _window_sums(h.counts, smooth_window)
-    else:
-        smoothed = smooth_histogram(h, smooth_window).counts
+    if not np.issubdtype(h.counts.dtype, np.integer):
+        raise PreconditionError("valley_threshold needs integer counts")
+    smoothed = _window_sums(h.counts, smooth_window)
     maxima = _local_maxima(smoothed)
     best = None
     for i in range(len(maxima)):

@@ -285,6 +285,33 @@ class TestIngestAndQuery:
         assert stat.S_IMODE(idx.stat().st_mode) == 0o640
         assert len(decode_index(idx.read_text()).records) == 2
 
+    def test_writing_leaves_the_process_umask_alone(self, tmp_path, monkeypatch):
+        # the umask is read only by setting it, which every other thread of
+        # the process would see meanwhile
+        out = tmp_path / "bin.pgm"
+        image = str(self.make_images(tmp_path)[0])
+        calls = []
+        set_umask = os.umask
+        umask = set_umask(0o022)
+        try:
+            monkeypatch.setattr(os, "umask", calls.append)
+            assert invoke(["threshold", "--method", "otsu", image, str(out)])[0] == 0
+        finally:
+            set_umask(umask)
+        assert calls == [] and stat.S_IMODE(out.stat().st_mode) == 0o644
+
+    def test_file_system_refusing_chmod_still_takes_the_rewrite(self, tmp_path, monkeypatch):
+        def refuse(fd, mode):
+            raise PermissionError(errno.EPERM, os.strerror(errno.EPERM))
+
+        idx = tmp_path / "idx.tsv"
+        images = self.make_images(tmp_path)
+        assert invoke(["ingest", "--index", str(idx), "--desc", "a", str(images[0])])[0] == 0
+        monkeypatch.setattr(os, "fchmod", refuse)
+        assert invoke(["ingest", "--index", str(idx), "--desc", "b", str(images[1])]) == (0, "1\n", "")
+        assert len(decode_index(idx.read_text()).records) == 2
+        assert not [p for p in tmp_path.iterdir() if p.name.startswith(".segkit-tmp")]
+
     def test_ingest_prints_sequential_ids(self, tmp_path):
         idx = tmp_path / "idx.tsv"
         for i, p in enumerate(self.make_images(tmp_path)):

@@ -146,7 +146,11 @@ def test_valley_decides_integer_counts_on_exact_sums():
     counts[[30, 220]] += 2**20
     counts[120] -= 1
     assert valley_threshold(Histogram(counts), 1).level == 120
-    assert valley_threshold(Histogram(counts.astype(np.float64)), 1).level == 31
+
+
+def test_valley_refuses_real_valued_counts():
+    with pytest.raises(PreconditionError, match="integer counts"):
+        valley_threshold(smooth_histogram(two_peak_fixture(), 5))
 
 
 def two_peak_fixture():
