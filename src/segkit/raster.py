@@ -428,10 +428,12 @@ def global_feature_counts(image: GrayImage | RgbImage) -> tuple[np.ndarray, int]
     (r div 64)*16 + (g div 64)*4 + (b div 64).
     """
     if isinstance(image, GrayImage):
-        counts = np.bincount(image.pixels.ravel(), minlength=GRAY_DIM)
+        bins, dim = image.pixels, GRAY_DIM
     elif isinstance(image, RgbImage):
         q = image.pixels >> 6  # uint8 throughout: the index is at most 63
-        counts = np.bincount((q[..., 0] << 4 | q[..., 1] << 2 | q[..., 2]).ravel(), minlength=COLOR_DIM)
+        bins, dim = q[..., 0] << 4 | q[..., 1] << 2 | q[..., 2], COLOR_DIM
     else:
         raise TypeError(f"expected GrayImage or RgbImage, got {type(image).__name__}")
-    return counts.astype(np.int64), int(counts.sum())
+    # each pixel is counted once, so the total is the pixel count; bincount
+    # already counts in int64 where that is the platform's intp, so no copy
+    return np.bincount(bins.ravel(), minlength=dim).astype(np.int64, copy=False), bins.size

@@ -53,6 +53,13 @@ _PRUNE_MARGIN = 1e-9
 _BLOCK_ROWS = 256
 
 
+@functools.lru_cache(maxsize=8)
+def _count_template(dim: int) -> str:
+    """The count field of dim counts as a %-template: "%d" per count,
+    joined by commas. %d spells an int as str does."""
+    return ",".join(["%d"] * dim)
+
+
 @frozen
 class ImageRecord:
     """One ingested image: id, source path, description, and its histogram
@@ -81,8 +88,8 @@ class ImageRecord:
         c.flags.writeable = False
         object.__setattr__(self, "counts", c)
         object.__setattr__(self, "total", total)
-        # ",".join(map(str, c.tolist())), but formatted by one list repr: less work
-        counts = str(c.tolist())[1:-1].replace(", ", ",")
+        # ",".join(map(str, c.tolist())), but formatted by one %-template: less work
+        counts = _count_template(c.size) % tuple(c.tolist())
         line = f"{self.id}\t{total}\t{counts}\t{escape_field(self.path)}\t{escape_field(self.description)}"
         object.__setattr__(self, "_line", line)
 
@@ -262,15 +269,26 @@ def ingest(index: Index, image: GrayImage | RgbImage, description: str, path: st
         raise DimensionMismatch(
             f"index holds {index.feature_dim}-dim features, image yields {counts.size}"
         )
-    rec = ImageRecord(
-        id=index._size(),
-        path=path,
-        description=description,
-        counts=counts,
-        total=total,
-    )
+    rec = ImageRecord(index._size(), path, description, counts, total)  # by position: the fast bind
     index._parts[1].append(rec)  # after any decoded columns, which stay columns
     return rec.id
+
+
+def _require_rows(index: Index, dim: int, ids: bool) -> None:
+    """PreconditionError naming the first record whose counts are not dim
+    long or, when ids is set, whose id is not its position. Decoded columns
+    hold ids 0, 1, ... by construction and share one width, so of them only
+    the first row is checked."""
+    head, tail = index._parts
+    start = 0 if head is None else len(head.lines)
+    # (position, id, width): the first decoded row, then each record after the decoded rows
+    rows = [] if head is None else [(0, 0, head.counts.shape[1])]
+    rows += ((p, r.id, r.counts.size) for p, r in enumerate(tail, start))
+    for position, rid, size in rows:
+        if ids and rid != position:
+            raise PreconditionError(f"record {position} has id {rid}; ids must run 0, 1, 2, ...")
+        if size != dim:
+            raise PreconditionError(f"record {position} has {size} counts; feature_dim is {index.feature_dim}")
 
 
 def _query_table(index: Index, query: FeatureVector, top: int) -> tuple[_Columns, np.ndarray]:
@@ -286,6 +304,7 @@ def _query_table(index: Index, query: FeatureVector, top: int) -> tuple[_Columns
         raise DimensionMismatch(
             f"query dimension {query.dimension} != index dimension {index.feature_dim}"
         )
+    _require_rows(index, index.feature_dim, ids=False)
     return index._table(), query.bins
 
 
@@ -396,23 +415,13 @@ def encode_index(index: Index) -> str:
     Raises PreconditionError for an index that decode_index would refuse:
     a feature_dim other than 64 or 256 (or None while empty), or a record
     whose id is not its position or whose counts are not feature_dim long,
-    naming the first such record. Decoded columns hold ids 0, 1, ... by
-    construction, so of them only the width is checked.
+    naming the first such record.
     """
     dim = 0 if index.feature_dim is None else require_int(index.feature_dim, "feature_dim")
     if dim not in (0, COLOR_DIM, GRAY_DIM):
         raise PreconditionError(f"unsupported feature dimension {dim}")
+    _require_rows(index, dim, ids=True)
     head, tail = index._parts
-    start = 0 if head is None else len(head.lines)
-    # (position, id, width): the first decoded row, whose width every
-    # decoded row shares, then each record after the decoded rows
-    rows = [] if head is None else [(0, 0, head.counts.shape[1])]
-    rows += ((p, r.id, r.counts.size) for p, r in enumerate(tail, start))
-    for position, rid, size in rows:
-        if rid != position:
-            raise PreconditionError(f"record {position} has id {rid}; ids must run 0, 1, 2, ...")
-        if size != dim:
-            raise PreconditionError(f"record {position} has {size} counts; feature_dim is {index.feature_dim}")
     lines = [f"{_HEADER_TAG}\t{index.version}\t{dim}", *(head.lines if head is not None else ()),
              *(r._line for r in tail)]
     return "\n".join(lines) + "\n"

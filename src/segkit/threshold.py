@@ -9,6 +9,8 @@ depends on floating-point rounding.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import EmptyHistogram, NoTwoPeaks, PreconditionError
@@ -40,7 +42,22 @@ class Histogram:
 
     @property
     def total(self):
-        return self.counts.sum()
+        """The sum of the counts: for integer counts an exact Python int,
+        which no int64 or uint64 sum wraps."""
+        return sum(self.counts.tolist()) if _integer_counts(self.counts) else self.counts.sum()
+
+
+def _integer_counts(counts: np.ndarray) -> bool:
+    """Whether counts are integers, as both selectors need: an integer
+    dtype, or objects that operator.index accepts, such as Python ints past
+    the int64 range; never floats."""
+    if counts.dtype != object:
+        return np.issubdtype(counts.dtype, np.integer)
+    try:
+        list(map(operator.index, counts.tolist()))
+    except TypeError:
+        return False
+    return True
 
 
 @frozen
@@ -115,7 +132,7 @@ def valley_threshold(
     Raises NoTwoPeaks when no sufficiently separated pair exists.
     """
     min_separation = require_int(min_separation, "min_separation")
-    if not np.issubdtype(h.counts.dtype, np.integer):
+    if not _integer_counts(h.counts):
         raise PreconditionError("valley_threshold needs integer counts")
     smoothed = _window_sums(h.counts, smooth_window)
     maxima = _local_maxima(smoothed)
@@ -153,7 +170,7 @@ def otsu_threshold(h: Histogram) -> ThresholdReport:
     n_total = sum(c)
     if n_total <= 0:
         raise EmptyHistogram("histogram has no mass")
-    if not np.issubdtype(counts.dtype, np.integer):
+    if not _integer_counts(counts):
         raise PreconditionError("otsu_threshold needs integer counts")
     s_total = sum(t * v for t, v in enumerate(c))
 

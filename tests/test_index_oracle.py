@@ -10,7 +10,8 @@ from hypothesis.extra.numpy import arrays
 
 import index_oracle as oracle
 from segkit.errors import BadHeader, BadRecord
-from segkit.retrieval import ImageRecord, Index, decode_index, encode_index
+from segkit.raster import GrayImage, RgbImage
+from segkit.retrieval import ImageRecord, Index, decode_index, encode_index, ingest
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 PATHS = st.text(st.sampled_from("ab.\\\t\nnt é"), max_size=8)
@@ -62,6 +63,44 @@ def test_round_trip_matches_oracle(index):
         assert g.counts.dtype == np.int64 and np.array_equal(g.counts, w.counts)
         assert np.array_equal(g.feature.bins, w.counts / w.total)
         assert g.pivot_distance == oracle.pivot_distance(w.counts, w.total) == w.pivot_distance
+
+
+@PROPERTY
+@given(st.sampled_from((1, 2, 300)) | st.integers(1, 300), st.data())
+def test_record_lines_match_oracle_at_any_width(dim, data):
+    records = [
+        ImageRecord(rec_id, data.draw(PATHS), data.draw(DESCRIPTIONS), counts, sum(counts.tolist()))
+        for rec_id, counts in enumerate(data.draw(st.lists(count_rows(dim), min_size=1, max_size=3)))
+    ]
+    index = Index(feature_dim=dim, records=records)
+    text = oracle.encode_index(index)
+    assert [rec._line for rec in records] == text.split("\n")[1:-1]
+    if dim in (64, 256):
+        assert encode_index(index) == text
+
+
+@st.composite
+def random_images(draw, kind):
+    """A random gray or color image of up to 48 x 48 pixels whose samples
+    take levels values, from one to all 256."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    height, width, levels = draw(st.integers(1, 48)), draw(st.integers(1, 48)), draw(st.integers(1, 256))
+    shape = (height, width) if kind is GrayImage else (height, width, 3)
+    return kind(rng.integers(0, levels, shape, dtype=np.uint8))
+
+
+@PROPERTY
+@given(
+    st.sampled_from((GrayImage, RgbImage)).flatmap(lambda kind: st.lists(random_images(kind), min_size=1, max_size=4)),
+    PATHS, DESCRIPTIONS,
+)
+def test_ingested_index_matches_oracle(images, path, description):
+    index = Index()
+    for image in images:
+        ingest(index, image, description, path)
+    text = oracle.encode_index(index)
+    assert encode_index(index) == text
+    assert encode_index(decode_index(text)) == text
 
 
 ODD_CHARS = "0123456789,\t\n\\+-_ xn٣"

@@ -137,6 +137,18 @@ class TestColorCounts:
         counts, total = global_feature_counts(RgbImage(p))
         assert (counts.dtype, counts.tolist(), total) == (np.int64, want.tolist(), p.shape[0] * p.shape[1])
 
+    @pytest.mark.parametrize("seed, shape", [(0, (1, 1)), (1, (7, 13)), (2, (64, 64)), (3, (5, 300))])
+    @pytest.mark.parametrize("color", [False, True])
+    def test_counts_and_total_are_the_bincount_pair(self, seed, shape, color):
+        # the pixel count as total equals the bincount's own sum; counts
+        # and total keep the dtype and type of its int64 cast and int sum
+        p = np.random.default_rng(seed).integers(0, 256, (*shape, 3) if color else shape, dtype=np.uint8)
+        bins = (p[..., 0] // 64 * 16 + p[..., 1] // 64 * 4 + p[..., 2] // 64) if color else p
+        old = np.bincount(bins.ravel(), minlength=64 if color else 256)
+        counts, total = global_feature_counts(RgbImage(p) if color else GrayImage(p))
+        assert counts.dtype == old.astype(np.int64).dtype and counts.tolist() == old.tolist()
+        assert type(total) is type(int(old.sum())) and total == int(old.sum())
+
 
 class TestBoxSmooth:
     def test_radius_zero_identity(self):

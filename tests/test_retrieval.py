@@ -233,6 +233,48 @@ class TestUnnormalizedQuery:
             search(idx, raw, top=1)
 
 
+def decoded_64_bin_index():
+    return decode_index(encode_index(index_from_counts([[1] * 64])))
+
+
+def with_dim(idx, dim):
+    idx.feature_dim = dim
+    return idx
+
+
+def with_record(idx, rec):
+    idx.records.append(rec)
+    return idx
+
+
+class TestCountsOfAnotherWidth:
+    """Both searches refuse, naming the record, an index that encode_index
+    refuses for its count widths."""
+
+    @pytest.mark.parametrize("search", [search_exhaustive, search_optimized])
+    @pytest.mark.parametrize("make, dim, error", [
+        # widths that differ from each other
+        pytest.param(lambda: index_from_counts([[1, 1], [1, 1, 1]]), 2,
+                     "record 1 has 3 counts; feature_dim is 2", id="mixed"),
+        # widths equal to each other but not to feature_dim
+        pytest.param(lambda: with_dim(index_from_counts([[1, 1, 1]] * 2), 2), 2,
+                     "record 0 has 3 counts; feature_dim is 2", id="not-feature-dim"),
+        # decoded rows under a reassigned feature_dim
+        pytest.param(lambda: with_dim(decoded_64_bin_index(), 256), 256,
+                     "record 0 has 64 counts; feature_dim is 256", id="decoded-reassigned"),
+        # a record appended after the decoded rows
+        pytest.param(lambda: with_record(decoded_64_bin_index(), record_from_counts(1, [1] * 256)), 64,
+                     "record 1 has 256 counts; feature_dim is 64", id="decoded-appended"),
+    ])
+    def test_refused_like_encode_index(self, search, make, dim, error):
+        idx = make()
+        with pytest.raises(PreconditionError, match=error):
+            search(idx, feature(np.eye(dim)[0]), top=1)
+        if dim in (64, 256):
+            with pytest.raises(PreconditionError, match=error):
+                encode_index(idx)
+
+
 class TestRecordListChanges:
     """Searches keep a table derived from the record list; a change to the
     list after a search shows in the next search and in encode_index."""

@@ -10,6 +10,7 @@ from segkit.errors import EmptyHistogram, EvenWindow, NoTwoPeaks, PreconditionEr
 from segkit.raster import GrayImage, RgbImage
 from segkit.threshold import (
     Histogram,
+    ThresholdReport,
     _local_maxima,
     _window_sums,
     binarize,
@@ -303,6 +304,60 @@ class TestHistogram:
         counts[40] = 10**400
         counts[200] = 7
         assert Histogram(counts).counts[40] == 10**400
+
+    @pytest.mark.parametrize("dtype, count", [(np.int64, 2**62), (np.uint64, 2**63), (object, 10**400)])
+    def test_integer_total_is_the_exact_sum(self, dtype, count):
+        # an int64 sum of two 2**62 counts wraps to -2**63, a uint64 sum of
+        # two 2**63 counts to 0
+        counts = np.zeros(256, dtype=dtype)
+        counts[[0, 255]] = count
+        total = Histogram(counts).total
+        assert type(total) is int and total == 2 * count
+
+    def test_real_valued_total_is_the_numpy_sum(self):
+        counts = np.linspace(0.0, 1.0, 256)
+        total = Histogram(counts).total
+        assert type(total) is np.float64 and total == counts.sum()
+
+
+def object_counts(pairs):
+    counts = np.zeros(256, dtype=object)
+    for bin_, c in pairs:
+        counts[bin_] = c
+    return Histogram(counts)
+
+
+class TestObjectIntCounts:
+    def test_counts_past_the_float_range_get_exact_levels(self):
+        h = object_counts([(40, 10**400), (200, 7)])
+        # every t in [40, 199] splits the two spikes apart; ties go to the smallest
+        assert otsu_threshold(h).level == 40
+        # window 5 spreads each spike over two bins either side: plateaus
+        # 38..42 and 198..202, and the first empty sum between them is bin 43
+        assert valley_threshold(h) == ThresholdReport(level=43, method="valley", peaks=(38, 198))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(arrays(np.int64, 256, elements=st.integers(0, 1000)), st.integers(0, 8).map(lambda r: 2 * r + 1))
+    def test_small_ints_give_the_int64_levels(self, counts, window):
+        as_int64, as_objects = Histogram(counts), Histogram(counts.astype(object))
+        assert as_objects.counts.dtype == object
+        for select in (otsu_threshold, lambda h: valley_threshold(h, window)):
+            assert outcome(select, as_objects) == outcome(select, as_int64)
+
+    @pytest.mark.parametrize("entries", [[5.0, 7], [5, 7.5], [5, Fraction(7)]])
+    def test_non_int_objects_refused(self, entries):
+        h = object_counts(zip((40, 200), entries))
+        for select in (otsu_threshold, valley_threshold):
+            with pytest.raises(PreconditionError, match="integer counts"):
+                select(h)
+
+
+def outcome(select, h):
+    """select(h), or the type and message of the error it raises."""
+    try:
+        return select(h)
+    except (NoTwoPeaks, EmptyHistogram) as exc:
+        return type(exc), str(exc)
 
 
 class TestBinarize:
