@@ -8,24 +8,37 @@ never left behind on failure. A new output file gets mode 0o666 less the
 umask, and a replaced one keeps its mode.
 """
 
-from __future__ import annotations
+import gc
 
-import argparse
-import contextlib
-import errno
-import fcntl
-import os
-import stat
-import sys
-from typing import TYPE_CHECKING
+# The imports below, numpy's most of all, make objects that live until the
+# process exits, and their allocations would set off some 30 collections
+# that free nothing. The collector stays off while they run; the objects
+# they made then go to the permanent generation, which no collection
+# traverses, and the collector is back as it was. Nothing runs before this,
+# not even a __future__ import, which loads the __future__ module.
+_collecting = gc.isenabled()
+gc.disable()
+try:
+    import argparse
+    import contextlib
+    import errno
+    import fcntl
+    import os
+    import stat
+    import sys
+    from typing import TYPE_CHECKING
 
-import numpy as np
+    import numpy as np
 
-from .errors import FormatError, PreconditionError
-from .raster import GrayImage, LabelMap, RgbImage, decode_pnm, encode_pnm, global_feature, to_gray
+    from .errors import FormatError, PreconditionError
+    from .raster import GrayImage, LabelMap, RgbImage, decode_pnm, encode_pnm, global_feature, to_gray
 
-if TYPE_CHECKING:  # only for annotations: each command imports the modules it runs
-    from . import clustering, features, region, retrieval
+    if TYPE_CHECKING:  # only for annotations: each command imports the modules it runs
+        from . import clustering, features, region, retrieval
+finally:
+    gc.freeze()
+    if _collecting:
+        gc.enable()
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -191,14 +204,15 @@ def _add_predict_parser(sub):
     p.add_argument("input")
 
 
-def _build_parser() -> _ArgumentParser:
+def _build_parser(argv: list[str]) -> _ArgumentParser:
+    """The parser for argv: with only the subcommand that argv[0] names, as
+    an op needs, or with all five, which segkit's own help and usage errors
+    list."""
     parser = _ArgumentParser(prog="segkit", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    _add_threshold_parser(sub)
-    _add_segment_parser(sub)
-    _add_ingest_parser(sub)
-    _add_query_parser(sub)
-    _add_predict_parser(sub)
+    for name in argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS:
+        add_parser, _ = _COMMANDS[name]
+        add_parser(sub)
     return parser
 
 
@@ -215,7 +229,7 @@ def _cmd_threshold(args) -> str:
     return str(report.level)
 
 
-def _segment_clustering(args, image: GrayImage, method: str) -> tuple[LabelMap, clustering.ClusteringResult]:
+def _segment_clustering(args, image: GrayImage, method: str) -> "tuple[LabelMap, clustering.ClusteringResult]":
     """K-means (method "kmeans") or edge-weighted K-means ("edge") of image."""
     from . import clustering
     if args.k is None:
@@ -230,12 +244,12 @@ def _segment_clustering(args, image: GrayImage, method: str) -> tuple[LabelMap, 
     return clustering.segment_clustering(image, config, beta)
 
 
-def _region_params(args) -> region.RegionParams:
+def _region_params(args) -> "region.RegionParams":
     from . import region
     return region.RegionParams(**_set_flags(args, (name for name, _ in REGION_FLAGS)))
 
 
-def _parse_exemplars(specs: list[str]) -> list[features.Exemplar]:
+def _parse_exemplars(specs: list[str]) -> "list[features.Exemplar]":
     from . import features
     exemplars = []
     for spec in specs:
@@ -276,7 +290,7 @@ def _cmd_segment(args) -> str:
     return f"regions\t{labels.k}"
 
 
-def _load_index(path: str) -> retrieval.Index:
+def _load_index(path: str) -> "retrieval.Index":
     from . import retrieval
     # no newline translation: decode_index sees, and rejects, a carriage return
     return retrieval.decode_index(_read_text(path, newline=""))
@@ -366,12 +380,13 @@ def _cmd_predict(args) -> str:
     return f"{prediction.label}\t{prediction.confidence:.6f}"
 
 
+# subcommand -> (the function that adds its parser, the function that runs it)
 _COMMANDS = {
-    "threshold": _cmd_threshold,
-    "segment": _cmd_segment,
-    "ingest": _cmd_ingest,
-    "query": _cmd_query,
-    "predict": _cmd_predict,
+    "threshold": (_add_threshold_parser, _cmd_threshold),
+    "segment": (_add_segment_parser, _cmd_segment),
+    "ingest": (_add_ingest_parser, _cmd_ingest),
+    "query": (_add_query_parser, _cmd_query),
+    "predict": (_add_predict_parser, _cmd_predict),
 }
 
 
@@ -380,8 +395,9 @@ def _outcome(argv: list[str]) -> tuple[int, str, str]:
     diagnostic: one "segkit: " line on a failure, which prints nothing to
     stdout, and "" on success. Writes nothing."""
     try:
-        args = _build_parser().parse_args(argv)
-        return EXIT_OK, _COMMANDS[args.subcommand](args) + "\n", ""
+        args = _build_parser(argv).parse_args(argv)
+        _, command = _COMMANDS[args.subcommand]
+        return EXIT_OK, command(args) + "\n", ""
     except _HelpRequested as exc:
         return EXIT_OK, exc.args[0], ""
     except _UsageError as exc:
@@ -420,7 +436,9 @@ def run(argv: list[str], out=None, err=None) -> int:
 
 
 def main() -> None:
-    """The segkit console script: run(sys.argv[1:]), then exit with its code."""
+    """The segkit console script: run(sys.argv[1:]) with the collector off,
+    then exit with its code. An op's objects live until it exits."""
+    gc.disable()
     code = run(sys.argv[1:])
     for stream in (sys.stdout, sys.stderr):
         try:
@@ -431,7 +449,6 @@ def main() -> None:
             # again, print "Exception ignored" and exit 120 (the recipe in
             # the signal docs)
             os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
-    import gc
     # every live object moves to the permanent generation, which the full
     # collections of interpreter finalization never traverse
     gc.freeze()

@@ -85,9 +85,14 @@ def smooth_histogram(h: Histogram, window: int) -> Histogram:
     counts as float64. Mass is preserved exactly for histograms whose
     support stays at least window//2 bins away from both ends; replication
     inflates mass that sits on the extreme bins for windows of 5 and up.
+    Object counts past the float64 range raise PreconditionError.
     """
     window = require_odd_window(window)
-    padded = pad_edge(np.asarray(h.counts, dtype=np.float64), window // 2)
+    try:
+        counts = np.asarray(h.counts, dtype=np.float64)
+    except OverflowError:
+        raise PreconditionError("counts past the float64 range cannot be smoothed") from None
+    padded = pad_edge(counts, window // 2)
     return Histogram(np.convolve(padded, np.ones(window) / window, mode="valid"))
 
 

@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from segkit import cli
 from segkit.cli import run
 from segkit.raster import GrayImage, RgbImage, decode_pnm, encode_pnm
 from segkit.retrieval import decode_index
@@ -61,7 +62,28 @@ def half_image_file(tmp_path):
     return path
 
 
+SUBCOMMANDS = ("threshold", "segment", "ingest", "query", "predict")
+# argv that end in the parser: the help texts, and usage errors before and
+# after a subcommand name (a missing required option, a bad int value)
+PARSER_ONLY = [["--help"], *([name, "--help"] for name in SUBCOMMANDS), [], ["bogus", "in.pgm"],
+               ["query", "--index", "i.idx", "in.pgm"], ["query", "--index", "i.idx", "--top", "x", "in.pgm"]]
+
+
 class TestUsageErrors:
+    def test_a_named_subcommand_gets_only_its_parser(self):
+        for name in SUBCOMMANDS:
+            assert f" {{{name}}} ..." in cli._build_parser([name, "in.pgm"]).format_usage()
+        for argv in ([], ["--help"], ["bogus"]):
+            assert " {threshold,segment,ingest,query,predict} ..." in cli._build_parser(argv).format_usage()
+
+    @pytest.mark.parametrize("argv", PARSER_ONLY, ids=[" ".join(argv) or "no-arguments" for argv in PARSER_ONLY])
+    def test_one_subcommand_parser_answers_as_all_five(self, monkeypatch, argv):
+        got = invoke(argv)
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda argv: build([]))
+        assert got == invoke(argv)
+        assert got[0] in (0, 1)
+
     def test_no_subcommand(self):
         code, _, err = invoke([])
         assert code == 1 and err

@@ -1,15 +1,19 @@
 """segkit.cli.main, the console script, run in a fresh interpreter: it gives
-the exit code, stdout, stderr and files of run() in process, freezes the
-garbage collector's objects before the interpreter exits, and reports a
-failed stdout write, or a stdout closed at start, as exit 2 with one
-diagnostic line. A diagnostic that cannot be written is lost: it never
-reaches stdout and never changes the exit code."""
+the exit code, stdout, stderr and files of run() in process, runs no
+collection of the garbage collector, freezes the collector's objects before
+the interpreter exits, and reports a failed stdout write, or a stdout closed
+at start, as exit 2 with one diagnostic line. A diagnostic that cannot be
+written is lost: it never reaches stdout and never changes the exit code.
+Importing segkit.cli leaves the collector on or off as it found it, and no
+other segkit module touches it."""
 
 import errno
 import functools
 import gc
 import io
 import os
+import pkgutil
+import shutil
 import subprocess
 import sys
 
@@ -80,12 +84,13 @@ def environment(unbuffered=True) -> dict:
     return env
 
 
-def run_main(argv, cwd, code=MAIN, unbuffered=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE, closed=None):
+def run_main(argv, cwd, code=MAIN, unbuffered=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE, closed=None,
+             env=None):
     """main() on argv in a fresh interpreter (sys.executable, never a shim
     that could reopen a closed descriptor), with file descriptor closed, if
-    given, shut before it starts."""
+    given, shut before it starts, in env or environment(unbuffered)."""
     close = None if closed is None else functools.partial(os.close, closed)
-    return subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=environment(unbuffered),
+    return subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=env or environment(unbuffered),
                           stdout=stdout, stderr=stderr, preexec_fn=close)
 
 
@@ -124,6 +129,91 @@ def test_run_leaves_the_collector_alone(tmp_path, monkeypatch):
     for argv, code in CASES:
         assert run(argv, io.StringIO(), io.StringIO()) == code
     assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+# main() after `import segkit`, counting the collections that start: all of
+# them, and those after segkit.cli began to run (its first statement binds
+# gc); the two counts are stderr's last line
+COUNTED = ("import atexit, gc, sys, segkit\n"
+           "runs = []\n"
+           "gc.callbacks.append(lambda phase, info: phase == 'start'"
+           " and runs.append(hasattr(sys.modules.get('segkit.cli'), 'gc')))\n"
+           "atexit.register(lambda: print(len(runs), sum(runs), file=sys.stderr))\n" + MAIN)
+
+
+def collections(proc) -> tuple[int, int]:
+    total, in_cli = proc.stderr.decode().splitlines()[-1].split()
+    return int(total), int(in_cli)
+
+
+def copied_segkit(root, cached: bool) -> dict:
+    """environment() for a copy of segkit under root, its bytecode cached
+    there, as an installed segkit's is, or compiled from source each run."""
+    shutil.copytree(os.path.dirname(segkit.__file__), root / "segkit",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    env = dict(environment(), PYTHONPATH=str(root), PYTHONDONTWRITEBYTECODE="1")
+    if cached:
+        env.pop("PYTHONDONTWRITEBYTECODE")
+        subprocess.run([sys.executable, "-c", "import segkit.cli"], env=env, check=True)
+        assert (root / "segkit" / "__pycache__").is_dir()
+    return env
+
+
+@pytest.fixture(scope="module")
+def cached_env(tmp_path_factory):
+    return copied_segkit(tmp_path_factory.mktemp("cached"), cached=True)
+
+
+@pytest.mark.parametrize("argv, code", CASES, ids=[" ".join(argv) for argv, _ in CASES])
+def test_an_op_runs_no_collection(tmp_path, cached_env, argv, code):
+    make_fixtures(tmp_path)
+    proc = run_main(argv, tmp_path, code=COUNTED, env=cached_env)
+    assert proc.returncode == code
+    assert collections(proc) == (0, 0)
+
+
+def test_no_collection_once_cli_runs_from_source(tmp_path):
+    # compiling cli.py allocates some 800 objects before its first statement
+    # runs, which may set off a generation-0 collection (one on CPython
+    # 3.11); none runs after that
+    (tmp_path / "src").mkdir()
+    env = copied_segkit(tmp_path / "src", cached=False)
+    make_fixtures(tmp_path)
+    proc = run_main(QUERY, tmp_path, code=COUNTED, env=env)
+    assert proc.returncode == 0 and proc.stdout
+    assert collections(proc)[1] == 0
+    assert not (tmp_path / "src" / "segkit" / "__pycache__").exists()
+
+
+@pytest.mark.parametrize("numpy", ["numpy", "no-numpy"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_importing_cli_restores_the_collector(enabled, numpy):
+    probe = ("import gc, sys\n"
+             f"gc.enable() if {enabled} else gc.disable()\n"
+             # a None entry makes `import numpy` raise ImportError
+             + ("sys.modules['numpy'] = None\n" if numpy == "no-numpy" else "")
+             + "try:\n"
+             "    import segkit.cli\n"
+             "except ImportError:\n"
+             "    pass\n"
+             "print(gc.isenabled(), 'segkit.cli' in sys.modules, gc.get_freeze_count() > 0)")
+    proc = subprocess.run([sys.executable, "-c", probe], env=environment(), capture_output=True, check=True)
+    assert proc.stdout.decode().split() == [str(enabled), str(numpy == "numpy"), "True"]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_other_modules_leave_the_collector_alone(enabled):
+    others = ["segkit"] + [f"segkit.{m.name}" for m in pkgutil.iter_modules(segkit.__path__) if m.name != "cli"]
+    probe = ("import gc, importlib, sys\n"
+             f"gc.enable() if {enabled} else gc.disable()\n"
+             "for name in sys.argv[1:]:\n"
+             "    before = gc.isenabled(), gc.get_freeze_count()\n"
+             "    importlib.import_module(name)\n"
+             "    assert (gc.isenabled(), gc.get_freeze_count()) == before, name\n"
+             "print(gc.isenabled(), *sorted(m for m in sys.modules if m.startswith('segkit')))")
+    proc = subprocess.run([sys.executable, "-c", probe, *others], env=environment(), capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().split() == [str(enabled), *sorted(others)]
 
 
 class FailingOut(io.StringIO):

@@ -85,6 +85,14 @@ class TestSmoothHistogram:
         with pytest.raises(PreconditionError, match="window"):
             smooth_histogram(hist_from_counts([(1, 1)]), window)
 
+    @pytest.mark.parametrize("window", [1, 5])
+    def test_counts_past_the_float_range_rejected(self, window):
+        # the selectors take these counts exactly; a float64 average cannot
+        counts = np.zeros(256, dtype=object)
+        counts[40], counts[200] = 10**400, 7
+        with pytest.raises(PreconditionError, match="float64 range"):
+            smooth_histogram(Histogram(counts), window)
+
 
 def padded_smooth(counts, window):
     """smooth_histogram's counts before the padding bound: a float64 copy
