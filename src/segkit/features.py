@@ -20,8 +20,9 @@ by the dense pass, so labels stay bit-identical to the full (H, W, 256)
 count tensor's. A class's summed window histogram is an exact int64 box
 sum: intensity v of padded pixel q counts once for each class member whose
 window holds q, a window x window box count of the class mask read from
-raster.window_sums, the only box-sum kernel. Refinement then gathers
-window counts only for boundary pixels and classifies them densely.
+raster.window_sums, segkit's 2-D box-sum kernel, and tallied per intensity
+with np.add.at, as classification tallies. Refinement then gathers window
+counts only for boundary pixels and classifies them densely.
 """
 
 from __future__ import annotations
@@ -243,16 +244,12 @@ def _class_sums(
     cover_c is nonzero only on the class's bounding box grown by window - 1.
     """
     x0, y0, x1, y1 = label_bounds(lab, int(classes[-1]) + 1)
-    sums = np.empty((classes.size, GRAY_DIM), dtype=np.int64)
+    sums = np.zeros((classes.size, GRAY_DIM), dtype=np.int64)
     for i, c in enumerate(classes.tolist()):
         mask = lab[y0[c] : y1[c] + 1, x0[c] : x1[c] + 1] == c
         cover = window_sums(np.pad(mask, window - 1), window)
         vals = padded[y0[c] : y1[c] + window, x0[c] : x1[c] + window].ravel()
-        # per-intensity totals of cover, in int64: a running sum in intensity
-        # order (a stable sort of 8-bit keys is a radix sort)
-        running = np.cumsum(cover.ravel()[np.argsort(vals, kind="stable")])
-        ends = np.cumsum(np.bincount(vals, minlength=GRAY_DIM))
-        sums[i] = np.diff(np.concatenate(([0], running))[np.concatenate(([0], ends))])
+        np.add.at(sums[i], vals, cover.ravel())  # per-intensity totals, exact in int64
     return sums
 
 

@@ -3,9 +3,11 @@ whole-image histogram features.
 
 Pixels are 8-bit. All window operations handle borders by clamping
 coordinates to the image (edge replication), so outputs keep the input
-dimensions; window_sums is segkit's only box-sum kernel. Everything here
-is a pure function of immutable inputs. The value types of every segkit
-module are classes decorated with frozen.
+dimensions; window_sums is segkit's one box-sum kernel over 2-D rasters
+(threshold._window_sums, the other window-sum kernel, runs 1-D over the
+histogram bins in exact Python ints). Everything here is a pure function
+of immutable inputs. The value types of every segkit module are classes
+decorated with frozen.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Gray-level histograms and histogram-based binarization.
 
-Two threshold selectors are provided: an explicit valley search between the
-two dominant histogram peaks, and Otsu's between-class-variance maximizer.
-Both take integer counts: Otsu scores and the valley search's window sums
-are compared in exact integer arithmetic so the reported level never
-depends on floating-point rounding.
+A Histogram holds integer counts only and refuses real-valued ones when it
+is built. Two threshold selectors are provided: an explicit valley search
+between the two dominant histogram peaks, and Otsu's between-class-variance
+maximizer. Otsu scores and the valley search's window sums are compared in
+exact integer arithmetic, so the reported level never depends on
+floating-point rounding.
 """
 
 from __future__ import annotations
@@ -23,34 +24,35 @@ DEFAULT_MIN_SEPARATION = 16
 
 @frozen
 class Histogram:
-    """256 per-level counts. Counts are integers for image histograms but
-    may be real-valued after smoothing."""
+    """256 nonnegative per-level integer counts: an integer dtype, or
+    objects that operator.index accepts, such as Python ints past the int64
+    range. Real-valued counts, floats in an object array included, raise
+    PreconditionError."""
 
     counts: np.ndarray
 
     def __post_init__(self):
-        # not raster._exact_cast, and elementwise: object arrays of ints past
-        # the float range keep their dtype for otsu_threshold
+        # not raster._exact_cast: object arrays of ints past the int64 range
+        # keep their dtype and their exact values
         c = np.asarray(self.counts)
         if c.shape != (GRAY_DIM,):
             raise PreconditionError("histogram needs exactly 256 bins")
-        if (c != c).any() or (abs(c) == np.inf).any():
-            raise PreconditionError("counts must be finite")
+        if not _integer_counts(c):
+            raise PreconditionError(f"histogram needs integer counts, got {c.dtype}")
         if c.min() < 0:
             raise PreconditionError("counts must be nonnegative")
         object.__setattr__(self, "counts", c)
 
     @property
-    def total(self):
-        """The sum of the counts: for integer counts an exact Python int,
-        which no int64 or uint64 sum wraps."""
-        return sum(self.counts.tolist()) if _integer_counts(self.counts) else self.counts.sum()
+    def total(self) -> int:
+        """The exact sum of the counts as a Python int, which no int64 or
+        uint64 sum wraps."""
+        return sum(self.counts.tolist())
 
 
 def _integer_counts(counts: np.ndarray) -> bool:
-    """Whether counts are integers, as both selectors need: an integer
-    dtype, or objects that operator.index accepts, such as Python ints past
-    the int64 range; never floats."""
+    """An integer dtype (bool is none), or an object array whose every entry
+    operator.index accepts; never floats."""
     if counts.dtype != object:
         return np.issubdtype(counts.dtype, np.integer)
     try:
@@ -78,28 +80,11 @@ def gray_histogram(image: GrayImage) -> Histogram:
     return Histogram(global_feature_counts(image)[0])
 
 
-def smooth_histogram(h: Histogram, window: int) -> Histogram:
-    """Moving average over bins with edge replication at bins 0 and 255.
-
-    window must be odd and within pad_edge's bound; window 1 returns the
-    counts as float64. Mass is preserved exactly for histograms whose
-    support stays at least window//2 bins away from both ends; replication
-    inflates mass that sits on the extreme bins for windows of 5 and up.
-    Object counts past the float64 range raise PreconditionError.
-    """
-    window = require_odd_window(window)
-    try:
-        counts = np.asarray(h.counts, dtype=np.float64)
-    except OverflowError:
-        raise PreconditionError("counts past the float64 range cannot be smoothed") from None
-    padded = pad_edge(counts, window // 2)
-    return Histogram(np.convolve(padded, np.ones(window) / window, mode="valid"))
-
-
 def _window_sums(counts: np.ndarray, window: int) -> np.ndarray:
     """Exact sums, as Python ints, of integer counts over each bin's window
-    with edge replication: smooth_histogram's averages times window, so they
-    order the same way, with no rounding and no int64 wraparound."""
+    with edge replication: a moving average times window, with no rounding
+    and no int64 wraparound. The 1-D kernel over the bins; raster.window_sums
+    is the int64 box-sum kernel over 2-D rasters."""
     window = require_odd_window(window)
     running = np.cumsum(pad_edge(counts, window // 2), dtype=object)
     return running[window - 1 :] - np.r_[0, running[:-window]]
@@ -130,15 +115,13 @@ def valley_threshold(
     (compared by higher value, then lower value, then lower bins). The
     level is the argmin strictly between the two peak bins; all ties
     resolve to the lowest bin. Smoothing is by exact window sums
-    (_window_sums), so the counts must be integers, as for otsu_threshold.
+    (_window_sums) of the integer counts.
     A window of 511 or more covers every bin from every bin, so its sums
     are linear in the bin and never hold two peaks.
 
     Raises NoTwoPeaks when no sufficiently separated pair exists.
     """
     min_separation = require_int(min_separation, "min_separation")
-    if not _integer_counts(h.counts):
-        raise PreconditionError("valley_threshold needs integer counts")
     smoothed = _window_sums(h.counts, smooth_window)
     maxima = _local_maxima(smoothed)
     best = None
@@ -169,14 +152,11 @@ def otsu_threshold(h: Histogram) -> ThresholdReport:
     (s0*n1 - s1*n0)^2 / (n0*n1); candidates are compared exactly by
     cross-multiplying these integers.
     """
-    counts = np.asarray(h.counts)
     # Python ints: int64 cumulative sums would wrap on large counts
-    c = counts.tolist()
-    n_total = sum(c)
+    c = h.counts.tolist()
+    n_total = h.total
     if n_total <= 0:
         raise EmptyHistogram("histogram has no mass")
-    if not _integer_counts(counts):
-        raise PreconditionError("otsu_threshold needs integer counts")
     s_total = sum(t * v for t, v in enumerate(c))
 
     best_t = 0

@@ -16,7 +16,6 @@ from segkit.threshold import (
     binarize,
     gray_histogram,
     otsu_threshold,
-    smooth_histogram,
     valley_threshold,
 )
 
@@ -54,80 +53,6 @@ class TestGrayHistogram:
             gray_histogram(RgbImage(np.zeros((2, 2, 3), dtype=np.uint8)))
 
 
-class TestSmoothHistogram:
-    def test_window_one_identity(self):
-        h = hist_from_counts([(10, 4), (200, 2)])
-        out = smooth_histogram(h, 1)
-        assert np.array_equal(out.counts, h.counts)
-
-    def test_delta_spread(self):
-        h = hist_from_counts([(100, 9)])
-        out = smooth_histogram(h, 3)
-        assert out.counts[99] == pytest.approx(3.0)
-        assert out.counts[100] == pytest.approx(3.0)
-        assert out.counts[101] == pytest.approx(3.0)
-
-    def test_mass_preserved_for_interior_support(self):
-        # support away from bins 0/255: replication cannot inflate mass
-        rng_counts = np.zeros(256, dtype=np.int64)
-        rng_counts[20:240] = lcg_bytes(11, 220).astype(np.int64)
-        h = Histogram(rng_counts)
-        for window in (3, 5, 9):
-            out = smooth_histogram(h, window)
-            assert out.total == pytest.approx(h.total, rel=1e-12)
-
-    def test_even_window_rejected(self):
-        with pytest.raises(EvenWindow):
-            smooth_histogram(hist_from_counts([(1, 1)]), 4)
-
-    @pytest.mark.parametrize("window", [3.0, 2.5])
-    def test_non_integer_window_rejected(self, window):
-        with pytest.raises(PreconditionError, match="window"):
-            smooth_histogram(hist_from_counts([(1, 1)]), window)
-
-    @pytest.mark.parametrize("window", [1, 5])
-    def test_counts_past_the_float_range_rejected(self, window):
-        # the selectors take these counts exactly; a float64 average cannot
-        counts = np.zeros(256, dtype=object)
-        counts[40], counts[200] = 10**400, 7
-        with pytest.raises(PreconditionError, match="float64 range"):
-            smooth_histogram(Histogram(counts), window)
-
-
-def padded_smooth(counts, window):
-    """smooth_histogram's counts before the padding bound: a float64 copy
-    for window 1, else np.pad edge replication and np.convolve."""
-    c = np.asarray(counts, dtype=np.float64)
-    if window == 1:
-        return c.copy()
-    return np.convolve(np.pad(c, window // 2, mode="edge"), np.ones(window) / window, mode="valid")
-
-
-HISTOGRAM_COUNTS = st.one_of(
-    arrays(np.int64, 256, elements=st.integers(0, 2**62)),
-    # -0.0 is a nonnegative count; the padded path returns it as 0.0
-    arrays(np.float64, 256, elements=st.floats(0, 1e300) | st.just(-0.0)),
-    arrays(object, 256, elements=st.integers(0, 2**1000)),
-)
-
-
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(HISTOGRAM_COUNTS, st.one_of(st.just(1), st.integers(0, 60).map(lambda r: 2 * r + 1)))
-def test_smooth_histogram_matches_padded_convolution(counts, window):
-    got = smooth_histogram(Histogram(counts), window).counts
-    want = padded_smooth(counts, window) + 0.0
-    assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
-
-
-def test_smooth_histogram_padding_bound():
-    # the widest window pads the 256 bins to exactly 2**20
-    counts = np.arange(256) % 7
-    widest = smooth_histogram(Histogram(counts), 1048321).counts
-    assert widest.tobytes() == padded_smooth(counts, 1048321).tobytes()
-    with pytest.raises(PreconditionError):
-        smooth_histogram(Histogram(counts), 1048323)
-
-
 def window_sums_loop(counts, window):
     """Reference for _window_sums: each bin's window of edge-replicated
     bins, summed as Python ints."""
@@ -157,9 +82,11 @@ def test_valley_decides_integer_counts_on_exact_sums():
     assert valley_threshold(Histogram(counts), 1).level == 120
 
 
-def test_valley_refuses_real_valued_counts():
+def test_histogram_refuses_real_valued_counts():
+    # a float moving average of integer counts, which neither selector takes
+    counts = np.convolve(np.pad(two_peak_fixture().counts, 2, mode="edge"), np.ones(5) / 5, mode="valid")
     with pytest.raises(PreconditionError, match="integer counts"):
-        valley_threshold(smooth_histogram(two_peak_fixture(), 5))
+        Histogram(counts)
 
 
 def two_peak_fixture():
@@ -194,7 +121,7 @@ class TestLocalMaxima:
             if i % 3 == 1:
                 counts = np.repeat(counts[:32], 8)  # wide plateaus
             elif i % 3 == 2:
-                counts = smooth_histogram(Histogram(counts), 5).counts
+                counts = _window_sums(counts, 5)  # the valley search's input
             assert _local_maxima(counts) == local_maxima_loop(counts)
 
 
@@ -227,6 +154,11 @@ class TestValleyThreshold:
         h = hist_from_counts([(100, 10), (104, 9), (98, 1), (102, 1), (106, 1)])
         with pytest.raises(NoTwoPeaks):
             valley_threshold(h, smooth_window=1, min_separation=16)
+
+    @pytest.mark.parametrize("window, error", [(4, EvenWindow), (3.0, PreconditionError), (2.5, PreconditionError)])
+    def test_window_must_be_an_odd_int(self, window, error):
+        with pytest.raises(error, match="window"):
+            valley_threshold(two_peak_fixture(), window)
 
     def test_pair_not_involving_tallest_peak(self):
         # tallest max at 128 has no partner 40+ bins away, but the two
@@ -322,10 +254,50 @@ class TestHistogram:
         total = Histogram(counts).total
         assert type(total) is int and total == 2 * count
 
-    def test_real_valued_total_is_the_numpy_sum(self):
-        counts = np.linspace(0.0, 1.0, 256)
-        total = Histogram(counts).total
-        assert type(total) is np.float64 and total == counts.sum()
+    @pytest.mark.parametrize(
+        "dtype, entry",
+        [
+            (np.float64, 5.0),  # integral values too: the dtype decides
+            (np.float64, 2.5),
+            (np.bool_, True),
+            (object, 5.0),
+            (object, Fraction(7)),
+            (object, np.float64(5.0)),
+            (object, None),
+        ],
+        ids=["float64-integral", "float64", "bool", "object-float", "object-fraction", "object-np-float64",
+             "object-none"],
+    )
+    def test_real_valued_counts_refused(self, dtype, entry):
+        counts = np.zeros(256, dtype=dtype)
+        counts[[40, 200]] = entry
+        with pytest.raises(PreconditionError, match="integer counts"):
+            Histogram(counts)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.one_of(
+            arrays(np.uint8, 256),
+            arrays(np.int64, 256, elements=st.integers(0, 2**63 - 1)),
+            arrays(np.uint64, 256, elements=st.integers(0, 2**64 - 1)),
+            arrays(object, 256, elements=st.integers(0, 2**200)),
+            # mostly empty: empty histograms and single spikes
+            arrays(np.int64, 256, elements=st.sampled_from([0] * 15 + [1, 2**40])),
+        ),
+        st.integers(0, 8).map(lambda r: 2 * r + 1),
+    )
+    def test_every_histogram_is_a_selector_input(self, counts, window):
+        # every Histogram gets a level, or an error about its mass (otsu) or
+        # its peaks (valley), never one about the type of its counts
+        h = Histogram(counts)
+        try:
+            otsu_threshold(h)
+        except EmptyHistogram:
+            assert h.total == 0
+        try:
+            valley_threshold(h, window)
+        except NoTwoPeaks:
+            pass
 
 
 def object_counts(pairs):
@@ -354,10 +326,8 @@ class TestObjectIntCounts:
 
     @pytest.mark.parametrize("entries", [[5.0, 7], [5, 7.5], [5, Fraction(7)]])
     def test_non_int_objects_refused(self, entries):
-        h = object_counts(zip((40, 200), entries))
-        for select in (otsu_threshold, valley_threshold):
-            with pytest.raises(PreconditionError, match="integer counts"):
-                select(h)
+        with pytest.raises(PreconditionError, match="integer counts"):
+            object_counts(zip((40, 200), entries))
 
 
 def outcome(select, h):
