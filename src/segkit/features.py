@@ -59,7 +59,7 @@ _STRIP = 32
 
 @frozen
 class Exemplar:
-    """A class prototype: label index plus its normalized feature."""
+    """A class prototype: label index plus its 256-bin gray feature."""
 
     label: int
     feature: FeatureVector
@@ -69,8 +69,8 @@ class Exemplar:
         if not 0 <= label <= np.iinfo(np.int32).max:  # labels are int32
             raise PreconditionError(f"exemplar label must be in [0, 2**31 - 1], got {label}")
         object.__setattr__(self, "label", label)
-        if not self.feature.normalized:
-            raise PreconditionError("exemplar feature must be normalized")
+        if self.feature.dimension != GRAY_DIM:
+            raise PreconditionError("exemplar features must have 256 bins")
 
 
 def _local_counts(padded: np.ndarray, window: int, pixels: np.ndarray) -> np.ndarray:
@@ -273,9 +273,6 @@ def classify_windows(
     """
     if not exemplars:
         raise NoExemplars("need at least one exemplar")
-    for e in exemplars:
-        if e.feature.dimension != GRAY_DIM:
-            raise PreconditionError("exemplar features must have 256 bins")
     order = sorted(range(len(exemplars)), key=lambda i: (exemplars[i].label, i))
     feats = np.stack([exemplars[i].feature.bins for i in order])
     labels_of = np.array([exemplars[i].label for i in order], dtype=np.int32)

@@ -22,8 +22,8 @@ from .errors import BadMagic, EvenWindow, PreconditionError, TruncatedData, Unsu
 
 UNLABELED = -1
 
-# Bins of a gray and of a color histogram feature; a normalized feature's
-# bins sum to 1 within _NORMALIZATION_TOL.
+# Bins of a gray and of a color histogram feature; a feature's bins sum to 1
+# within _NORMALIZATION_TOL.
 GRAY_DIM = 256
 COLOR_DIM = 64
 
@@ -228,16 +228,16 @@ class GradientMap(_Raster):
 
 @frozen
 class FeatureVector:
-    """Histogram feature; bins sum to 1 when normalized."""
+    """Normalized histogram feature: nonnegative bins that sum to 1 within
+    _NORMALIZATION_TOL."""
 
     bins: np.ndarray
-    normalized: bool = True
 
     def __post_init__(self):
         b = _exact_cast(self.bins, np.float64)
         if b.ndim != 1 or b.size < 1 or b.min() < 0:
             raise PreconditionError("bins must be a nonempty 1-D nonnegative array")
-        if self.normalized and abs(b.sum() - 1.0) > _NORMALIZATION_TOL:
+        if abs(b.sum() - 1.0) > _NORMALIZATION_TOL:
             raise PreconditionError("normalized feature bins must sum to 1")
         object.__setattr__(self, "bins", b)
 

@@ -153,7 +153,7 @@ def grow_regions(image: GrayImage, seeds: LabelMap) -> LabelMap:
     unlabeled 4-neighbors.
     """
     seeded = seeds.labels >= 0
-    if seeds.k < 1 or not seeded.any():
+    if not seeded.any():
         raise EmptySeeds("need at least one seed region")
     require_same_shape(seeds, image)
     h, w = seeds.labels.shape

@@ -174,8 +174,6 @@ class Index:
     may each build a list; every read after them returns the stored one.
     """
 
-    version = FORMAT_VERSION
-
     def __init__(self, feature_dim: int | None = None, records: list[ImageRecord] | None = None):
         self.feature_dim = feature_dim
         # (decoded records as columns, until records is read; the records
@@ -251,8 +249,6 @@ def similarity(a: FeatureVector, b: FeatureVector) -> float:
     """Histogram intersection sum(min(a_i, b_i)) of two normalized features."""
     if a.dimension != b.dimension:
         raise DimensionMismatch(f"dimensions {a.dimension} and {b.dimension} differ")
-    if not (a.normalized and b.normalized):
-        raise PreconditionError("similarity needs normalized features")
     return float(np.minimum(a.bins, b.bins).sum())
 
 
@@ -298,8 +294,6 @@ def _query_table(index: Index, query: FeatureVector, top: int) -> tuple[_Columns
         raise PreconditionError("top must be >= 1")
     if not index._size():
         raise EmptyIndex("index holds no records")
-    if not query.normalized:
-        raise PreconditionError("query feature must be normalized")
     if query.dimension != index.feature_dim:
         raise DimensionMismatch(
             f"query dimension {query.dimension} != index dimension {index.feature_dim}"
@@ -405,8 +399,8 @@ def unescape_field(text: str) -> str:
 def encode_index(index: Index) -> str:
     """Serialize to the line-based text format.
 
-    Header: SEGIDX <TAB> version <TAB> feature_dim (0 when no ingest has
-    fixed the dimension yet). One record per line: id, total,
+    Header: SEGIDX <TAB> FORMAT_VERSION (1) <TAB> feature_dim (0 when no
+    ingest has fixed the dimension yet). One record per line: id, total,
     comma-joined counts, path, description; path and description escape
     backslash, tab, newline and carriage return. Every number is a plain
     decimal and the text ends in a newline. Each record's line was
@@ -422,7 +416,7 @@ def encode_index(index: Index) -> str:
         raise PreconditionError(f"unsupported feature dimension {dim}")
     _require_rows(index, dim, ids=True)
     head, tail = index._parts
-    lines = [f"{_HEADER_TAG}\t{index.version}\t{dim}", *(head.lines if head is not None else ()),
+    lines = [f"{_HEADER_TAG}\t{FORMAT_VERSION}\t{dim}", *(head.lines if head is not None else ()),
              *(r._line for r in tail)]
     return "\n".join(lines) + "\n"
 

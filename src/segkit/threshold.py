@@ -26,21 +26,23 @@ DEFAULT_MIN_SEPARATION = 16
 class Histogram:
     """256 nonnegative per-level integer counts: an integer dtype, or
     objects that operator.index accepts, such as Python ints past the int64
-    range. Real-valued counts, floats in an object array included, raise
-    PreconditionError."""
+    range. Real-valued counts, floats in an object array included, and
+    bools raise PreconditionError. counts is a read-only copy of the array
+    given, so total and the selectors read the counts that were checked."""
 
     counts: np.ndarray
 
     def __post_init__(self):
         # not raster._exact_cast: object arrays of ints past the int64 range
         # keep their dtype and their exact values
-        c = np.asarray(self.counts)
+        c = np.array(self.counts)
         if c.shape != (GRAY_DIM,):
             raise PreconditionError("histogram needs exactly 256 bins")
         if not _integer_counts(c):
             raise PreconditionError(f"histogram needs integer counts, got {c.dtype}")
         if c.min() < 0:
             raise PreconditionError("counts must be nonnegative")
+        c.flags.writeable = False
         object.__setattr__(self, "counts", c)
 
     @property
@@ -52,11 +54,16 @@ class Histogram:
 
 def _integer_counts(counts: np.ndarray) -> bool:
     """An integer dtype (bool is none), or an object array whose every entry
-    operator.index accepts; never floats."""
+    operator.index accepts and is no bool; never floats."""
     if counts.dtype != object:
         return np.issubdtype(counts.dtype, np.integer)
+    entries = counts.tolist()
+    # a bool, Python's or numpy's, is no count, though operator.index reads
+    # Python's as 0 or 1
+    if any(isinstance(v, (bool, np.bool_)) for v in entries):
+        return False
     try:
-        list(map(operator.index, counts.tolist()))
+        list(map(operator.index, entries))
     except TypeError:
         return False
     return True

@@ -35,7 +35,7 @@ def pivot_distance(counts: np.ndarray, total: int) -> float:
 
 def encode_index(index: Index) -> str:
     dim = index.feature_dim if index.feature_dim is not None else 0
-    lines = [f"SEGIDX\t{index.version}\t{dim}"]
+    lines = [f"SEGIDX\t{FORMAT_VERSION}\t{dim}"]
     for rec in index.records:
         counts = ",".join(str(int(c)) for c in rec.counts)
         lines.append(

@@ -31,7 +31,12 @@ class TestFeatureVector:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(PreconditionError):
-            FeatureVector(np.array([0.5, bad]), normalized=False)
+            FeatureVector(np.array([0.5, bad]))
+
+    @pytest.mark.parametrize("bins", [[2.0, 1.0], [2.0, 1.0, 0, 0]])
+    def test_unnormalized_bins_rejected(self, bins):
+        with pytest.raises(PreconditionError, match="must sum to 1"):
+            FeatureVector(np.array(bins))
 
 
 class TestLocalHistogram:
@@ -91,6 +96,10 @@ class TestClassifyWindows:
         # even mixed windows resolve to the majority side
         assert (labels.labels[:, :8] == 0).all()
         assert (labels.labels[:, 8:] == 1).all()
+
+    def test_exemplar_of_64_bins_rejected(self):
+        with pytest.raises(PreconditionError, match="256 bins"):
+            classify_windows(half_16x16(), [Exemplar(0, FeatureVector(np.full(64, 1 / 64)))], 3)
 
     def test_no_exemplars_rejected(self):
         with pytest.raises(NoExemplars):
@@ -215,11 +224,6 @@ class TestIntegerArguments:
     def test_fractional_exemplar_label_rejected(self):
         with pytest.raises(PreconditionError, match="label"):
             Exemplar(1.5, delta_feature(0))
-
-    def test_unnormalized_exemplar_feature_rejected(self):
-        raw = FeatureVector(np.array([2.0, 1.0]), normalized=False)
-        with pytest.raises(PreconditionError, match="exemplar feature must be normalized"):
-            Exemplar(0, raw)
 
     def test_integer_exemplar_label_normalized(self):
         e = Exemplar(np.int64(2), delta_feature(0))

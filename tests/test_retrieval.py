@@ -71,11 +71,6 @@ class TestSimilarity:
             l1 = float(np.abs(a.bins - b.bins).sum())
             assert abs(s - (1 - l1 / 2)) < 1e-12
 
-    def test_unnormalized_feature_rejected(self):
-        raw = FeatureVector(np.array([2.0, 1.0, 0, 0]), normalized=False)
-        with pytest.raises(PreconditionError, match="similarity needs normalized features"):
-            similarity(raw, feature([0.25, 0.25, 0.25, 0.25]))
-
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             similarity(feature([1.0]), feature([0.5, 0.5]))
@@ -222,15 +217,6 @@ class TestSearchExhaustive:
     def test_empty_index(self):
         with pytest.raises(EmptyIndex):
             search_exhaustive(Index(feature_dim=4), feature([1, 0, 0, 0]), top=1)
-
-
-class TestUnnormalizedQuery:
-    @pytest.mark.parametrize("search", [search_exhaustive, search_optimized])
-    def test_rejected(self, search):
-        idx = index_from_counts([[1, 1, 0, 0]])
-        raw = FeatureVector(np.array([2.0, 1.0, 0, 0]), normalized=False)
-        with pytest.raises(PreconditionError, match="query feature must be normalized"):
-            search(idx, raw, top=1)
 
 
 def decoded_64_bin_index():
@@ -450,6 +436,13 @@ class TestIndexCodec:
             decode_index("SEGIDX\t2\t256\n")
         with pytest.raises(BadHeader):
             decode_index("SEGIDX\t1\t100\n")
+
+    def test_version_attribute_does_not_reach_the_header(self):
+        idx = Index()
+        idx.version = 2
+        text = encode_index(idx)
+        assert text == "SEGIDX\t1\t0\n"
+        assert decode_index(text).feature_dim is None
 
     def test_bad_record_reports_line(self):
         text = "SEGIDX\t1\t64\n0\t5\t" + ",".join(["0"] * 63) + "\tp\td\n"

@@ -239,6 +239,15 @@ class TestHistogram:
         with pytest.raises(PreconditionError):
             Histogram(counts)
 
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_counts_are_a_read_only_copy(self, dtype):
+        given = np.zeros(256, dtype=dtype)
+        h = Histogram(given)
+        with pytest.raises(ValueError):
+            h.counts[3] = -7
+        given[3] = -7
+        assert h.total == 0 and h.counts[3] == 0
+
     def test_object_int_counts_past_float_range_accepted(self):
         counts = np.zeros(256, dtype=object)
         counts[40] = 10**400
@@ -264,9 +273,10 @@ class TestHistogram:
             (object, Fraction(7)),
             (object, np.float64(5.0)),
             (object, None),
+            (object, True),  # operator.index accepts it as 1
         ],
         ids=["float64-integral", "float64", "bool", "object-float", "object-fraction", "object-np-float64",
-             "object-none"],
+             "object-none", "object-bool"],
     )
     def test_real_valued_counts_refused(self, dtype, entry):
         counts = np.zeros(256, dtype=dtype)
