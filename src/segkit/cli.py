@@ -62,23 +62,29 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _HelpRequested(self.format_help())
 
 
-def _read_image(path: str) -> GrayImage | RgbImage:
+def _read_bytes(path: str) -> bytes:
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc.strerror}") from None
-    return decode_pnm(data)
-
-
-def _read_text(path: str, newline: str | None = None) -> str:
-    try:
-        with open(path, "r", encoding="utf-8", newline=newline) as fh:
             return fh.read()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc.strerror}") from None
+
+
+def _utf8(data: bytes, path: str) -> str:
+    try:
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path} is not UTF-8 text: {exc.reason}") from None
+
+
+def _read_image(path: str) -> GrayImage | RgbImage:
+    return decode_pnm(_read_bytes(path))
+
+
+def _read_text(path: str) -> str:
+    """path's UTF-8 text with universal newlines: "\r\n" and "\r" read as
+    "\n", as open() in text mode reads them."""
+    return _utf8(_read_bytes(path), path).replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _read_gray(path: str) -> GrayImage:
@@ -290,10 +296,18 @@ def _cmd_segment(args) -> str:
     return f"regions\t{labels.k}"
 
 
+def _index_file(path: str) -> str:
+    """The file that --index names: a symbolic link resolved by
+    os.path.realpath, so that ingests through a link and through its target
+    lock one file and replace the target; any other path as given, which
+    diagnostics then name."""
+    return os.path.realpath(path) if os.path.islink(path) else path
+
+
 def _load_index(path: str) -> "retrieval.Index":
     from . import retrieval
     # no newline translation: decode_index sees, and rejects, a carriage return
-    return retrieval.decode_index(_read_text(path, newline=""))
+    return retrieval.decode_index(_utf8(_read_bytes(path), path))
 
 
 @contextlib.contextmanager
@@ -318,24 +332,22 @@ def _cmd_ingest(args) -> str:
     from reading the index to renaming the new one into place. Queries take
     no lock, since the rename already hands every reader a whole file."""
     from . import retrieval
-    with _exclusive_lock(args.index + ".lock"):
-        if os.path.exists(args.index):
-            index = _load_index(args.index)
-        else:
-            index = retrieval.Index()
+    path = _index_file(args.index)
+    with _exclusive_lock(path + ".lock"):
+        index = _load_index(path) if os.path.exists(path) else retrieval.Index()
         image = _read_image(args.input)
         rec_id = retrieval.ingest(index, image, args.desc, args.input)
         try:
             data = retrieval.encode_index(index).encode("utf-8")
         except UnicodeEncodeError as exc:
             raise PreconditionError(f"path and description must be UTF-8 text: {exc.reason}") from None
-        _write_atomic_bytes(args.index, data)
+        _write_atomic_bytes(path, data)
     return str(rec_id)
 
 
 def _cmd_query(args) -> str:
     from . import retrieval
-    index = _load_index(args.index)
+    index = _load_index(_index_file(args.index))
     image = _read_image(args.input)
     query = global_feature(image)
     if args.exhaustive:

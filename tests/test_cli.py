@@ -490,6 +490,36 @@ class TestIngestAndQuery:
             f"{w}-{i}" for w in range(2) for i in range(n)
         )
 
+    def test_ingest_through_a_symlink_updates_its_target(self, tmp_path):
+        (tmp_path / "data").mkdir()
+        link, real, img = tmp_path / "link.idx", tmp_path / "data" / "real.idx", tmp_path / "i.pgm"
+        write_pgm(img, [[5, 6], [7, 8]])
+        link.symlink_to(os.path.join("data", "real.idx"))  # dangling until the first ingest
+        for argv_index, desc in ((link, "a"), (real, "b"), (link, "c")):
+            assert invoke(["ingest", "--index", str(argv_index), "--desc", desc, str(img)])[0] == 0
+        assert link.is_symlink() and os.readlink(link) == os.path.join("data", "real.idx")
+        assert [r.description for r in decode_index(real.read_text()).records] == ["a", "b", "c"]
+        assert (tmp_path / "data" / "real.idx.lock").exists() and not (tmp_path / "link.idx.lock").exists()
+
+    def test_concurrent_ingests_through_a_symlink_and_its_target_keep_every_record(self, tmp_path):
+        real, link, img, n = tmp_path / "real.idx", tmp_path / "link.idx", tmp_path / "i.pgm", 10
+        write_pgm(img, [[5, 6], [7, 8]])
+        link.symlink_to(real)
+        ctx = multiprocessing.get_context("spawn")
+        barrier, results = ctx.Barrier(2), ctx.Queue()
+        workers = [ctx.Process(target=ingest_loop, args=(w, str(path), str(img), n, barrier, results))
+                   for w, path in enumerate((link, real))]
+        for p in workers:
+            p.start()
+        outcomes = [results.get(timeout=120) for _ in workers]
+        for p in workers:
+            p.join(timeout=30)
+            assert not p.is_alive() and p.exitcode == 0
+        assert [failures for _, _, failures in outcomes] == [[], []]
+        assert sorted(i for _, ids, _ in outcomes for i in ids) == list(range(2 * n))
+        assert link.is_symlink()
+        assert len(decode_index(real.read_text()).records) == 2 * n
+
 
 class TestPredictCommand:
     def test_predict_bright_vs_dark(self, tmp_path):
