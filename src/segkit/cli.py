@@ -305,9 +305,19 @@ def _index_file(path: str) -> str:
 
 
 def _load_index(path: str) -> "retrieval.Index":
+    """The index in the file path, built from its column sidecar
+    <path>.cols when that was made for the file's bytes, else decoded from
+    them. A sidecar that is missing, unreadable or made for other bytes
+    changes nothing but the time taken."""
     from . import retrieval
+    data = _read_bytes(path)
+    try:
+        with open(path + ".cols", "rb") as fh:
+            index = retrieval.decode_sidecar(data, fh.read())
+    except OSError:
+        index = None
     # no newline translation: decode_index sees, and rejects, a carriage return
-    return retrieval.decode_index(_utf8(_read_bytes(path), path))
+    return retrieval.decode_index(_utf8(data, path)) if index is None else index
 
 
 @contextlib.contextmanager
@@ -329,8 +339,10 @@ def _exclusive_lock(path: str):
 
 def _cmd_ingest(args) -> str:
     """Ingests into one index run one at a time: each holds <index>.lock
-    from reading the index to renaming the new one into place. Queries take
-    no lock, since the rename already hands every reader a whole file."""
+    from reading the index to renaming the new index and then its column
+    sidecar <index>.cols into place. Queries take no lock, since the
+    renames already hand every reader whole files, and a sidecar is used
+    only for the index bytes it was made for."""
     from . import retrieval
     path = _index_file(args.index)
     with _exclusive_lock(path + ".lock"):
@@ -342,6 +354,9 @@ def _cmd_ingest(args) -> str:
         except UnicodeEncodeError as exc:
             raise PreconditionError(f"path and description must be UTF-8 text: {exc.reason}") from None
         _write_atomic_bytes(path, data)
+        # the index is in place: a sidecar that cannot be written only leaves later ops to parse it
+        with contextlib.suppress(FormatError):
+            _write_atomic_bytes(path + ".cols", retrieval.encode_sidecar(index, data))
     return str(rec_id)
 
 

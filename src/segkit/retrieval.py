@@ -12,16 +12,23 @@ The index text is canonical: decode_index accepts exactly what
 encode_index writes. It checks and parses all record lines at once; when
 that fails, it halves the lines to find the first bad one, which works
 because several lines parse exactly when each parses on its own. A
-decoded index holds its records as columns: a read-only (n, dim) int64
-counts matrix, and the totals, paths, descriptions and encoded lines.
-Encoding joins the kept lines, and ingest appends a record after the
-columns, so neither builds an ImageRecord per line; Index.records builds
-them from the columns and lines on first access, and callers may then
-mutate that list. Search reads a table of the records' columns and pivot
-distances: the decoded columns, whose pivot distances are derived on first
-search, while no record has been added or read as an object, else columns
-built from the record list for that search. It scores bounded blocks of
-rows as one matrix.
+decoded index holds its records as columns: a read-only (n, dim) counts
+matrix, the totals, and the record lines as one text with each line's
+start offset; a record's path and description are read from its line
+when needed. Encoding writes the kept text, and ingest appends a record
+after the columns, so neither builds an ImageRecord per line;
+Index.records builds them from the columns and lines on first access,
+and callers may then mutate that list. Search reads a table of the
+records' columns and pivot distances: the decoded columns, whose pivot
+distances are derived on first search, while no record has been added
+or read as an object, else columns joined for that search. It scores
+bounded blocks of rows as one matrix.
+
+The column sidecar (encode_sidecar, decode_sidecar) holds the columns
+that decoding given index bytes yields, keyed by those bytes' length and
+importlib.util.source_hash, so a later process can build the index from
+it instead of parsing the text; any sidecar that is not keyed to the
+bytes at hand is a miss, and the text is decoded.
 
 An index supports one writer or many concurrent readers; searches are
 read-only, ingest needs exclusive access.
@@ -31,6 +38,8 @@ from __future__ import annotations
 
 import bisect
 import functools
+import importlib.util
+import itertools
 import re
 from collections.abc import Sequence
 
@@ -115,23 +124,36 @@ class ImageRecord:
 @frozen
 class _Columns:
     """Checked records as columns, in index order: int64 ids, a read-only
-    (n, dim) int64 counts matrix, and the totals, paths, descriptions and
-    encoded lines."""
+    (n, dim) counts matrix of an integer dtype that holds every count (int64
+    when parsed from text), the totals, and the records' encoded lines as
+    one text, each line ending in a newline, with the offset of each line's
+    start and the text's length. Path and description are read from a
+    row's line when asked for."""
 
     ids: np.ndarray
     counts: np.ndarray
     totals: list[int]
-    paths: list[str]
-    descriptions: list[str]
-    lines: list[str]
+    text: str
+    bounds: list[int]
 
     @classmethod
     def of(cls, records: Sequence[ImageRecord]) -> _Columns:
+        lines = [r._line + "\n" for r in records]
         return cls(
             np.array([r.id for r in records], dtype=np.int64), np.stack([r.counts for r in records]),
-            [r.total for r in records], [r.path for r in records],
-            [r.description for r in records], [r._line for r in records],
+            [r.total for r in records], "".join(lines), list(itertools.accumulate(map(len, lines), initial=0)),
         )
+
+    def then(self, other: _Columns) -> _Columns:
+        """These rows followed by other's, the counts in the narrowest
+        unsigned dtype that holds them."""
+        high = max(int(self.counts.max()), int(other.counts.max()))
+        # unsafe only in name: every count fits, high being the largest
+        counts = np.concatenate((self.counts, other.counts), dtype=np.min_scalar_type(high), casting="unsafe")
+        counts.flags.writeable = False
+        shift = self.bounds[-1]
+        return _Columns(np.concatenate((self.ids, other.ids)), counts, self.totals + other.totals,
+                        self.text + other.text, self.bounds + [shift + b for b in other.bounds[1:]])
 
     @functools.cached_property
     def divisors(self) -> np.ndarray:
@@ -154,12 +176,22 @@ class _Columns:
         bins = self.counts[rows] / self.divisors[rows]
         return np.minimum(bins, qbins, out=bins).sum(axis=1)
 
+    def line(self, row: int) -> str:
+        """The row's encoded line, without its newline."""
+        return self.text[self.bounds[row] : self.bounds[row + 1] - 1]
+
+    def path_and_description(self, row: int) -> tuple[str, str]:
+        _, _, _, path, desc = self.line(row).split("\t")
+        return unescape_field(path), unescape_field(desc)
+
     def records(self) -> list[ImageRecord]:
-        columns = zip(self.lines, self.ids.tolist(), self.paths, self.descriptions, self.counts, self.totals)
-        return [
-            ImageRecord._checked(line, id=i, path=path, description=desc, counts=c, total=t)
-            for line, i, path, desc, c, t in columns
-        ]
+        counts = np.asarray(self.counts, dtype=np.int64)  # the same array when already int64
+        counts.flags.writeable = False
+        records = []
+        for row, (i, c, t) in enumerate(zip(self.ids.tolist(), counts, self.totals)):
+            path, desc = self.path_and_description(row)
+            records.append(ImageRecord._checked(self.line(row), id=i, path=path, description=desc, counts=c, total=t))
+        return records
 
 
 class Index:
@@ -191,13 +223,16 @@ class Index:
 
     def _size(self) -> int:
         head, tail = self._parts
-        return len(tail) + (0 if head is None else len(head.lines))
+        return len(tail) + (0 if head is None else len(head.totals))
 
     def _table(self) -> _Columns:
-        """The search table: the decoded columns while they hold every
-        record, else columns of the record list, built for this search."""
+        """Every record as columns: the decoded columns alone, while no
+        record follows them, else joined with columns of the records after
+        them, built for this call."""
         head, tail = self._parts
-        return head if head is not None and not tail else _Columns.of(self.records)
+        if not tail:
+            return head
+        return _Columns.of(tail) if head is None else head.then(_Columns.of(tail))
 
 
 @frozen
@@ -237,7 +272,7 @@ def _pivot_distances(counts: np.ndarray, totals: Sequence[int]) -> list[float]:
     of checked records, computed from integers and rounded once:
     sum |c_i * dim - total| / (total * dim)."""
     dim = counts.shape[1]
-    excess = counts * dim
+    excess = np.multiply(counts, dim, dtype=np.int64)
     excess -= np.array(totals, dtype=np.int64)[:, None]
     # a row's terms sum to zero: |.| sums to twice the positive part, < total * dim < 2**63
     halves = np.maximum(excess, 0, out=excess).sum(axis=1).tolist()
@@ -276,7 +311,7 @@ def _require_rows(index: Index, dim: int, ids: bool) -> None:
     hold ids 0, 1, ... by construction and share one width, so of them only
     the first row is checked."""
     head, tail = index._parts
-    start = 0 if head is None else len(head.lines)
+    start = 0 if head is None else len(head.totals)
     # (position, id, width): the first decoded row, then each record after the decoded rows
     rows = [] if head is None else [(0, 0, head.counts.shape[1])]
     rows += ((p, r.id, r.counts.size) for p, r in enumerate(tail, start))
@@ -306,8 +341,8 @@ def _best(table: _Columns, rows: np.ndarray, scores: np.ndarray, top: int) -> li
     """The top of the given rows by score, higher first, ties to lower ids."""
     ranked = np.lexsort((table.ids[rows], -scores))[:top]
     return [
-        RankedResult(int(table.ids[row]), float(score), table.paths[row], table.descriptions[row])
-        for row, score in zip(rows[ranked], scores[ranked])
+        RankedResult(int(table.ids[row]), float(score), *table.path_and_description(row))
+        for row, score in zip(rows[ranked].tolist(), scores[ranked])
     ]
 
 
@@ -416,9 +451,13 @@ def encode_index(index: Index) -> str:
         raise PreconditionError(f"unsupported feature dimension {dim}")
     _require_rows(index, dim, ids=True)
     head, tail = index._parts
-    lines = [f"{_HEADER_TAG}\t{FORMAT_VERSION}\t{dim}", *(head.lines if head is not None else ()),
-             *(r._line for r in tail)]
-    return "\n".join(lines) + "\n"
+    return "".join([_header(dim), "" if head is None else head.text, *(r._line + "\n" for r in tail)])
+
+
+def _header(dim: int) -> str:
+    """The header line, newline included, of an index of dimension dim (0
+    while no ingest has fixed it)."""
+    return f"{_HEADER_TAG}\t{FORMAT_VERSION}\t{dim}\n"
 
 
 def _decimal(text: str) -> int:
@@ -468,10 +507,10 @@ def _parse_counts(fields: Sequence[str], dim: int) -> np.ndarray | str:
     return counts
 
 
-def _parse_records(lines: list[str], dim: int, first: int = 0) -> _Columns | str:
-    """The records of lines as encode_index writes them, with ids first,
-    first + 1, ..., checked in bulk; why not when any line breaks the format
-    or an ImageRecord invariant. The lines parse exactly when each parses
+def _parse_records(lines: list[str], dim: int, first: int = 0) -> tuple[np.ndarray, list[int]] | str:
+    """The counts and totals of lines as encode_index writes them, with ids
+    first, first + 1, ..., checked in bulk; why not when any line breaks the
+    format or an ImageRecord invariant. The lines parse exactly when each parses
     on its own (the length argument in _parse_counts), so the reason for a
     single line names the check that it fails."""
     parts = [line.split("\t") for line in lines]
@@ -493,7 +532,7 @@ def _parse_records(lines: list[str], dim: int, first: int = 0) -> _Columns | str
     fault = counts if isinstance(counts, str) else _record_fault(counts, totals, descriptions)
     if fault is not None:
         return fault
-    return _Columns(np.arange(first, first + len(lines)), counts, totals, paths, descriptions, lines)
+    return counts, totals
 
 
 def decode_index(text: str) -> Index:
@@ -534,8 +573,8 @@ def decode_index(text: str) -> Index:
         return index
     if dim == 0:
         raise BadHeader("records present but feature dimension is 0")
-    columns = _parse_records(records, dim)
-    if isinstance(columns, str):
+    parsed = _parse_records(records, dim)
+    if isinstance(parsed, str):
         lo, hi = 0, len(records)  # the lines before lo hold; one in [lo, hi) fails
         while hi - lo > 1:
             mid = (lo + hi) // 2
@@ -546,5 +585,64 @@ def decode_index(text: str) -> Index:
         raise BadRecord(f"line {lo + 2}: {_parse_records(records[lo:hi], dim, lo)}")
     if not terminated:
         raise BadRecord(f"line {len(lines)}: missing final newline")
-    index._parts = (columns, [])
+    bounds = list(itertools.accumulate((len(line) + 1 for line in records), initial=0))
+    index._parts = (_Columns(np.arange(len(records)), *parsed, text[len(lines[0]) + 1 :], bounds), [])
+    return index
+
+
+# The column sidecar holds the columns that decoding given index bytes
+# yields. Little-endian: the magic, then the key, importlib.util.source_hash
+# of those bytes (the SipHash that keys hash-based .pyc files, PEP 552),
+# then as uint64 their length, the record count n, the feature dimension
+# and the width in bytes of one count; then the (n, dim) counts as unsigned
+# ints of that width, the n totals as int64, and the n + 1 line bounds of
+# _Columns as int64.
+_SIDECAR_MAGIC = b"SEGCOLS1"
+_SIDECAR_HEAD = 48
+
+
+def encode_sidecar(index: Index, data: bytes) -> bytes:
+    """The column sidecar of index, given data, the UTF-8 encoding of
+    encode_index(index). Each count takes the fewest bytes (1, 2, 4 or 8)
+    that hold the largest count."""
+    table = index._table()
+    n, dim = table.counts.shape
+    width = np.min_scalar_type(int(table.counts.max())).itemsize
+    head = np.array([len(data), n, dim, width], dtype="<u8")
+    return b"".join([
+        _SIDECAR_MAGIC, importlib.util.source_hash(data), head.tobytes(),
+        table.counts.astype(f"<u{width}").tobytes(),
+        np.array(table.totals, dtype="<i8").tobytes(), np.array(table.bounds, dtype="<i8").tobytes(),
+    ])
+
+
+def decode_sidecar(data: bytes, sidecar: bytes) -> Index | None:
+    """decode_index(data.decode()), built from sidecar when it is the column
+    sidecar of data: its key is data's length and hash, and its shapes
+    match data's header, record count and length. None for any other
+    sidecar (empty, truncated, garbage, stale, or keyed by the hash of
+    another Python version); never raises."""
+    if len(sidecar) < _SIDECAR_HEAD or not sidecar.startswith(_SIDECAR_MAGIC):
+        return None
+    length, n, dim, width = np.frombuffer(sidecar, dtype="<u8", count=4, offset=16).tolist()
+    if length != len(data) or sidecar[8:16] != importlib.util.source_hash(data):
+        return None
+    totals_at = _SIDECAR_HEAD + n * dim * width
+    bounds_at = totals_at + 8 * n
+    if n < 1 or width not in (1, 2, 4, 8) or dim not in (COLOR_DIM, GRAY_DIM) or len(sidecar) != bounds_at + 8 * (n + 1):
+        return None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    header = _header(dim)
+    body = text[len(header) :]
+    bounds = np.frombuffer(sidecar, dtype="<i8", count=n + 1, offset=bounds_at).tolist()
+    if not text.startswith(header) or bounds[0] != 0 or bounds[-1] != len(body):
+        return None
+    # read-only, as an array over bytes is
+    counts = np.frombuffer(sidecar, dtype=f"<u{width}", count=n * dim, offset=_SIDECAR_HEAD).reshape(n, dim)
+    totals = np.frombuffer(sidecar, dtype="<i8", count=n, offset=totals_at).tolist()
+    index = Index(feature_dim=dim)
+    index._parts = (_Columns(np.arange(n), counts, totals, body, bounds), [])
     return index

@@ -112,6 +112,32 @@ def test_main_matches_run_in_process(tmp_path, monkeypatch, argv, code):
     assert files(sub) == files(inproc)
 
 
+# op sequences, one op per fresh interpreter: the ingests write the index's
+# column sidecar, and the query after them builds the index from it
+CHAINS = [
+    [["ingest", "--index", "new.idx", "--desc", "left", "left.pgm"],
+     ["ingest", "--index", "new.idx", "--desc", "right", "right.pgm"],
+     ["query", "--index", "new.idx", "--top", "2", "half.pgm"]],
+]
+
+
+@pytest.mark.parametrize("chain", CHAINS, ids=[", ".join(argv[0] for argv in chain) for chain in CHAINS])
+def test_main_matches_run_in_process_op_by_op(tmp_path, monkeypatch, chain):
+    inproc, sub = tmp_path / "inproc", tmp_path / "sub"
+    for directory in (inproc, sub):
+        directory.mkdir()
+        make_fixtures(directory)
+    monkeypatch.chdir(inproc)
+    for argv in chain:
+        out, err = io.StringIO(), io.StringIO()
+        code = run(argv, out, err)
+        proc = run_main(argv, sub)
+        assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (code, out.getvalue(), err.getvalue())
+        assert code == 0 and out.getvalue()
+        assert files(sub) == files(inproc)
+    assert (sub / "new.idx.cols").is_file()
+
+
 def test_objects_are_frozen_when_the_interpreter_exits(tmp_path):
     make_fixtures(tmp_path)
     probe = ("import atexit, gc, sys\n"
