@@ -304,6 +304,15 @@ def _index_file(path: str) -> str:
     return os.path.realpath(path) if os.path.islink(path) else path
 
 
+def _read_sidecar(path: str) -> bytes:
+    """The bytes of the index path's column sidecar, or none when it cannot be read."""
+    try:
+        with open(path + ".cols", "rb") as fh:
+            return fh.read()
+    except OSError:
+        return b""
+
+
 def _load_index(path: str) -> "retrieval.Index":
     """The index in the file path, built from its column sidecar
     <path>.cols when that was made for the file's bytes, else decoded from
@@ -311,13 +320,13 @@ def _load_index(path: str) -> "retrieval.Index":
     changes nothing but the time taken."""
     from . import retrieval
     data = _read_bytes(path)
-    try:
-        with open(path + ".cols", "rb") as fh:
-            index = retrieval.decode_sidecar(data, fh.read())
-    except OSError:
-        index = None
-    # no newline translation: decode_index sees, and rejects, a carriage return
-    return retrieval.decode_index(_utf8(data, path)) if index is None else index
+    index = retrieval.decode_sidecar(data, _read_sidecar(path))
+    if index is None:
+        # no newline translation: decode_index sees, and rejects, a carriage return
+        text = _utf8(data, path)
+        del data  # the parse holds the text alone, not its bytes too
+        index = retrieval.decode_index(text)
+    return index
 
 
 @contextlib.contextmanager
@@ -354,9 +363,10 @@ def _cmd_ingest(args) -> str:
         except UnicodeEncodeError as exc:
             raise PreconditionError(f"path and description must be UTF-8 text: {exc.reason}") from None
         _write_atomic_bytes(path, data)
+        sidecar = retrieval.encode_sidecar(index, data)
         # the index is in place: a sidecar that cannot be written only leaves later ops to parse it
         with contextlib.suppress(FormatError):
-            _write_atomic_bytes(path + ".cols", retrieval.encode_sidecar(index, data))
+            _write_atomic_bytes(path + ".cols", sidecar)
     return str(rec_id)
 
 

@@ -608,11 +608,11 @@ def encode_sidecar(index: Index, data: bytes) -> bytes:
     table = index._table()
     n, dim = table.counts.shape
     width = np.min_scalar_type(int(table.counts.max())).itemsize
-    head = np.array([len(data), n, dim, width], dtype="<u8")
+    # bytes.join takes the arrays' buffers as they are: C-contiguous, so no extra copy
     return b"".join([
-        _SIDECAR_MAGIC, importlib.util.source_hash(data), head.tobytes(),
-        table.counts.astype(f"<u{width}").tobytes(),
-        np.array(table.totals, dtype="<i8").tobytes(), np.array(table.bounds, dtype="<i8").tobytes(),
+        _SIDECAR_MAGIC, importlib.util.source_hash(data), np.array([len(data), n, dim, width], dtype="<u8"),
+        table.counts.astype(f"<u{width}", copy=False),
+        np.array(table.totals, dtype="<i8"), np.array(table.bounds, dtype="<i8"),
     ])
 
 
@@ -629,7 +629,8 @@ def decode_sidecar(data: bytes, sidecar: bytes) -> Index | None:
         return None
     totals_at = _SIDECAR_HEAD + n * dim * width
     bounds_at = totals_at + 8 * n
-    if n < 1 or width not in (1, 2, 4, 8) or dim not in (COLOR_DIM, GRAY_DIM) or len(sidecar) != bounds_at + 8 * (n + 1):
+    shapes = n >= 1 and width in (1, 2, 4, 8) and dim in (COLOR_DIM, GRAY_DIM)
+    if not shapes or len(sidecar) != bounds_at + 8 * (n + 1):
         return None
     try:
         text = data.decode("utf-8")
