@@ -305,7 +305,8 @@ def _index_file(path: str) -> str:
 
 
 def _read_sidecar(path: str) -> bytes:
-    """The bytes of the index path's column sidecar, or none when it cannot be read."""
+    """The bytes of <path>.cols, the column sidecar of the index path;
+    empty when it cannot be read."""
     try:
         with open(path + ".cols", "rb") as fh:
             return fh.read()

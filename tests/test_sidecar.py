@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from segkit import retrieval
 from segkit.cli import run
+from segkit.errors import FormatError
 from segkit.raster import GrayImage, RgbImage, encode_pnm, global_feature
 from segkit.retrieval import (ImageRecord, Index, decode_index, decode_sidecar, encode_index, encode_sidecar,
                               search_exhaustive, search_optimized)
@@ -181,13 +182,13 @@ def treat(directory: str, plain: str, treatment: str, index: str, draw: bytes) -
         if data is None:
             return
         if treatment == "rewrite":
-            try:
+            try:  # an index an earlier edit broke stays as it is
                 library = decode_index(data.decode())
-                retrieval.ingest(library, GrayImage(GRAYS[0]) if library.feature_dim != 64 else RgbImage(COLORS[0]),
-                                 "library", "lib.pgm")
-                data = encode_index(library).encode()
-            except Exception:
+            except (UnicodeDecodeError, FormatError):
                 return
+            retrieval.ingest(library, GrayImage(GRAYS[0]) if library.feature_dim != 64 else RgbImage(COLORS[0]),
+                             "library", "lib.pgm")
+            data = encode_index(library).encode()
         else:
             at = int.from_bytes(draw[:4] or b"\1", "little") * 7919 % (len(data) - 1)
             data = data[:at] + bytes([data[at] ^ 1]) + data[at + 1 :]
