@@ -28,7 +28,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import PreconditionError, TooFewPoints
-from .raster import GRAY_DIM, GradientMap, GrayImage, LabelMap, _exact_cast, frozen, require_int, sobel_magnitude
+from .raster import (GRAY_DIM, GradientMap, GrayImage, LabelMap, _exact_cast, frozen, require_int, require_real,
+                     sobel_magnitude)
 
 DEFAULT_BETA = 2.0
 
@@ -142,7 +143,7 @@ class ClusteringConfig:
             raise PreconditionError("k must be >= 1")
         if self.max_iter < 1:
             raise PreconditionError("max_iter must be >= 1")
-        if not self.epsilon >= 0:  # also rejects nan
+        if not require_real(self.epsilon, "epsilon") >= 0:  # also rejects nan
             raise PreconditionError("epsilon must be >= 0")
         if self.init not in ("quantile", "seeded-random"):
             raise PreconditionError(f"unknown init strategy {self.init!r}")
@@ -337,7 +338,7 @@ def run_kmeans(
 def edge_weights(gradient: GradientMap, beta: float) -> Weights:
     """Weights 1 / (1 + beta * g) from gradient magnitudes normalized to
     [0, 1] by the global maximum (an all-zero gradient normalizes to 0)."""
-    if not 0 <= beta < np.inf:  # also rejects nan
+    if not 0 <= require_real(beta, "beta") < np.inf:  # also rejects nan
         raise PreconditionError("beta must be finite and >= 0")
     mag = gradient.magnitude.ravel()
     peak = mag.max()

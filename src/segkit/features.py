@@ -159,7 +159,9 @@ def _classify_sliding(
     each center's distance at the touched bins only. A slid pixel keeps its
     slid argmin when the runner-up trails by more than _slide_bounds; the
     others (exact and near ties) go through _nearest_windows. The centers
-    are exemplar features, whose bins sum to 1 as _slide_bounds assumes."""
+    are exemplar features, whose bins sum to 1 as _slide_bounds assumes:
+    a FeatureVector checks the sum when it is built and owns its read-only
+    bins (raster._exact_cast), so no later write can break it."""
     h, w = shape
     pw = padded.shape[1]
     area = window * window

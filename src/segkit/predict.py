@@ -26,7 +26,7 @@ from .errors import (
     PreconditionError,
     RuleSyntaxError,
 )
-from .raster import frozen
+from .raster import frozen, require_real
 
 
 @frozen
@@ -34,7 +34,8 @@ class Trapezoid:
     """Membership shape with knots a <= b <= c <= d: zero outside [a, d],
     one on [b, c], linear in between. Equal knots collapse a ramp into a
     step, so crisp intervals (a=b, c=d) and triangles (b=c) are special
-    cases."""
+    cases. A knot that is not a real number (require_real) raises
+    PreconditionError."""
 
     a: float
     b: float
@@ -42,6 +43,8 @@ class Trapezoid:
     d: float
 
     def __post_init__(self):
+        for name in ("a", "b", "c", "d"):
+            require_real(getattr(self, name), f"knot {name}")
         if not (self.a <= self.b <= self.c <= self.d):
             raise BadKnots(f"knots must satisfy a <= b <= c <= d, got {self}")
 
@@ -77,8 +80,9 @@ class Prediction:
 
 def trapezoid_membership(value: float, t: Trapezoid) -> float:
     """Degree in [0, 1] of value under the trapezoid; PreconditionError for
-    a value that is not finite, which has no degree."""
-    if not math.isfinite(value):
+    a value that is not a real number (require_real) or not finite, which
+    has no degree."""
+    if not math.isfinite(require_real(value, "feature value")):
         raise PreconditionError(f"feature value must be finite, got {value!r}")
     if value < t.a or value > t.d:
         return 0.0

@@ -13,6 +13,7 @@ decorated with frozen.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import re
 
@@ -43,23 +44,38 @@ _FIELD = rb"(?:\s|#[^\n\r]*(?![^\n\r]))*([^\s#]\S*)"
 _HEADER = re.compile(rb"(?:%s(?:%s(?:%s)?)?)?" % (_FIELD, _FIELD, _FIELD))
 
 
-def _exact_cast(values, dtype: type) -> np.ndarray:
-    """values as a dtype array; PreconditionError when the cast would alter
-    a value: one out of range, fractional, or not finite. A float64 target
-    takes any real value and refuses nan and inf."""
+def _exact_cast(values, dtype) -> np.ndarray:
+    """values as a read-only dtype array that nothing else can write;
+    PreconditionError when the cast would alter a value: one out of
+    range, fractional, or not finite. A float64 target takes any real value
+    and refuses nan and inf; a target equal to the values' own dtype only
+    takes ownership.
+
+    Every value type's array field comes from here, under one rule: an
+    array that nobody can write (read-only down to the memory it owns, or
+    to a bytes object) is kept as it is, a fresh array that the cast made
+    is frozen in place, and anything else, values itself or a view of
+    writable memory, is copied once."""
     a = np.asarray(values)
     if dtype is np.float64:
         if not np.isfinite(a := a.astype(dtype, copy=False)).all():
             raise PreconditionError("values must be finite")
-        return a
-    if a.dtype == dtype:
-        return a
-    info = np.iinfo(dtype)
-    # range first, so the cast cannot warn (nan fails both comparisons); the
-    # upper test is < max + 1 because int64's max rounds up to 2**63 as a float
-    if not ((a >= info.min) & (a < info.max + 1)).all() or not ((cast := a.astype(dtype)) == a).all():
-        raise PreconditionError(f"{a.dtype} values do not convert to {info.dtype} exactly")
-    return cast
+    elif a.dtype != dtype:
+        info = np.iinfo(dtype)
+        # range first, so the cast cannot warn (nan fails both comparisons); the
+        # upper test is < max + 1 because int64's max rounds up to 2**63 as a float
+        if not ((a >= info.min) & (a < info.max + 1)).all() or not ((cast := a.astype(dtype)) == a).all():
+            raise PreconditionError(f"{a.dtype} values do not convert to {info.dtype} exactly")
+        a = cast
+    if a.base is not None or a is values:
+        owner = a
+        while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+            owner = owner.base
+        if owner is None or type(owner) is bytes:
+            return a
+        a = a.copy()
+    a.flags.writeable = False
+    return a
 
 
 def require_int(value, name: str) -> int:
@@ -69,6 +85,15 @@ def require_int(value, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise PreconditionError(f"{name} must be an integer, got {value!r}") from None
+
+
+def require_real(value, name: str):
+    """value, unchanged, when it is a real number (a numbers.Real: an int,
+    float, Fraction, or numpy integer or float); PreconditionError naming
+    the parameter for anything else. Each caller tests the range itself."""
+    if not isinstance(value, numbers.Real):
+        raise PreconditionError(f"{name} must be a real number, got {value!r}")
+    return value
 
 
 class FrozenInstanceError(AttributeError):
@@ -251,6 +276,8 @@ def decode_pnm(data: bytes) -> GrayImage | RgbImage:
 
     Header fields may be separated by arbitrary whitespace and '#' comments;
     exactly one whitespace byte separates the maxval from the raw samples.
+    The pixels of bytes data are a read-only view of its samples, so
+    decoding copies none.
 
     Raises BadMagic, UnsupportedMaxval, or TruncatedData.
     """
@@ -281,13 +308,12 @@ def decode_pnm(data: bytes) -> GrayImage | RgbImage:
     pos += 1
     channels = 1 if magic == b"P5" else 3
     need = width * height * channels
-    raw = data[pos : pos + need]
-    if len(raw) < need:
-        raise TruncatedData(f"need {need} sample bytes, got {len(raw)}")
-    arr = np.frombuffer(raw, dtype=np.uint8)
+    if len(data) - pos < need:
+        raise TruncatedData(f"need {need} sample bytes, got {len(data) - pos}")
+    arr = np.frombuffer(data, dtype=np.uint8, count=need, offset=pos)
     if channels == 1:
-        return GrayImage(arr.reshape(height, width).copy())
-    return RgbImage(arr.reshape(height, width, 3).copy())
+        return GrayImage(arr.reshape(height, width))
+    return RgbImage(arr.reshape(height, width, 3))
 
 
 def encode_pnm(image: GrayImage | RgbImage) -> bytes:

@@ -31,6 +31,7 @@ from .raster import (
     label_bounds,
     pad_edge,
     require_int,
+    require_real,
     require_same_shape,
     window_sums,
 )
@@ -47,6 +48,8 @@ class RegionParams:
     def __post_init__(self):
         for name in ("smooth_radius", "min_seed_size", "min_region_size"):
             object.__setattr__(self, name, require_int(getattr(self, name), name))
+        for name in ("variance_threshold", "contrast_guard"):
+            require_real(getattr(self, name), name)
         if self.smooth_radius < 0 or not 0 <= self.variance_threshold < math.inf:
             raise PreconditionError("need smooth_radius >= 0 and a finite variance_threshold >= 0")
         if self.min_seed_size < 1:

@@ -28,7 +28,9 @@ The column sidecar (encode_sidecar, decode_sidecar) holds the columns
 that decoding given index bytes yields, keyed by those bytes' length and
 importlib.util.source_hash, so a later process can build the index from
 it instead of parsing the text; any sidecar that is not keyed to the
-bytes at hand is a miss, and the text is decoded.
+bytes at hand is a miss, and the text is decoded. sidecar_keyed reads
+the key from the sidecar's first SIDECAR_HEAD bytes alone, so a reader
+can tell a stale sidecar without reading the rest.
 
 An index supports one writer or many concurrent readers; searches are
 read-only, ingest needs exclusive access.
@@ -74,9 +76,10 @@ class ImageRecord:
     """One ingested image: id, source path, description, and its histogram
     stored as raw integer counts.
 
-    counts is a read-only copy of the array given, so the values derived
-    from it cannot go stale: the encoded line, made with the record, and
-    feature (counts / total) and pivot_distance, made when read."""
+    counts is read-only and owned by the record (raster._exact_cast), so
+    the values derived from it cannot go stale: the encoded line, made with
+    the record, and feature (counts / total) and pivot_distance, made when
+    read. path and description must be str."""
 
     id: int
     path: str
@@ -85,16 +88,17 @@ class ImageRecord:
     total: int
 
     def __post_init__(self):
-        c = _exact_cast(self.counts, np.int64).copy()
+        c = _exact_cast(self.counts, np.int64)
         if c.ndim != 1:
             raise PreconditionError(_NONNEGATIVE)
         # a Python int, so total * dim cannot wrap as a numpy integer would
         total = require_int(self.total, "total")
         object.__setattr__(self, "id", require_int(self.id, "id"))
+        if not isinstance(self.path, str) or not isinstance(self.description, str):
+            raise PreconditionError("path and description must be str")
         fault = _record_fault(c[None], [total], [self.description])
         if fault is not None:
             raise PreconditionError(fault)
-        c.flags.writeable = False
         object.__setattr__(self, "counts", c)
         object.__setattr__(self, "total", total)
         # ",".join(map(str, c.tolist())), but formatted by one %-template: less work
@@ -112,9 +116,7 @@ class ImageRecord:
 
     @property
     def feature(self) -> FeatureVector:
-        bins = self.counts / self.total
-        bins.flags.writeable = False
-        return FeatureVector(bins)
+        return FeatureVector(self.counts / self.total)
 
     @functools.cached_property
     def pivot_distance(self) -> float:
@@ -598,7 +600,18 @@ def decode_index(text: str) -> Index:
 # ints of that width, the n totals as int64, and the n + 1 line bounds of
 # _Columns as int64.
 _SIDECAR_MAGIC = b"SEGCOLS1"
-_SIDECAR_HEAD = 48
+SIDECAR_HEAD = 48
+
+
+def sidecar_keyed(data: bytes, head: bytes) -> bool:
+    """Whether head, the first SIDECAR_HEAD bytes of a sidecar or more,
+    carries the magic and the key of data: its length and hash."""
+    return (
+        len(head) >= SIDECAR_HEAD
+        and head.startswith(_SIDECAR_MAGIC)
+        and int.from_bytes(head[16:24], "little") == len(data)
+        and head[8:16] == importlib.util.source_hash(data)
+    )
 
 
 def encode_sidecar(index: Index, data: bytes) -> bytes:
@@ -622,12 +635,14 @@ def decode_sidecar(data: bytes, sidecar: bytes) -> Index | None:
     match data's header, record count and length. None for any other
     sidecar (empty, truncated, garbage, stale, or keyed by the hash of
     another Python version); never raises."""
-    if len(sidecar) < _SIDECAR_HEAD or not sidecar.startswith(_SIDECAR_MAGIC):
-        return None
-    length, n, dim, width = np.frombuffer(sidecar, dtype="<u8", count=4, offset=16).tolist()
-    if length != len(data) or sidecar[8:16] != importlib.util.source_hash(data):
-        return None
-    totals_at = _SIDECAR_HEAD + n * dim * width
+    return _keyed_sidecar_index(data, sidecar) if sidecar_keyed(data, sidecar) else None
+
+
+def _keyed_sidecar_index(data: bytes, sidecar: bytes) -> Index | None:
+    """decode_sidecar(data, sidecar) for a sidecar whose head sidecar_keyed
+    has accepted: the shapes are checked, the key is not hashed again."""
+    n, dim, width = np.frombuffer(sidecar, dtype="<u8", count=3, offset=24).tolist()
+    totals_at = SIDECAR_HEAD + n * dim * width
     bounds_at = totals_at + 8 * n
     shapes = n >= 1 and width in (1, 2, 4, 8) and dim in (COLOR_DIM, GRAY_DIM)
     if not shapes or len(sidecar) != bounds_at + 8 * (n + 1):
@@ -642,7 +657,7 @@ def decode_sidecar(data: bytes, sidecar: bytes) -> Index | None:
     if not text.startswith(header) or bounds[0] != 0 or bounds[-1] != len(body):
         return None
     # read-only, as an array over bytes is
-    counts = np.frombuffer(sidecar, dtype=f"<u{width}", count=n * dim, offset=_SIDECAR_HEAD).reshape(n, dim)
+    counts = np.frombuffer(sidecar, dtype=f"<u{width}", count=n * dim, offset=SIDECAR_HEAD).reshape(n, dim)
     totals = np.frombuffer(sidecar, dtype="<i8", count=n, offset=totals_at).tolist()
     index = Index(feature_dim=dim)
     index._parts = (_Columns(np.arange(n), counts, totals, body, bounds), [])

@@ -15,8 +15,8 @@ import operator
 import numpy as np
 
 from .errors import EmptyHistogram, NoTwoPeaks, PreconditionError
-from .raster import (GRAY_DIM, GrayImage, LabelMap, frozen, global_feature_counts, pad_edge, require_int,
-                     require_odd_window)
+from .raster import (GRAY_DIM, GrayImage, LabelMap, _exact_cast, frozen, global_feature_counts, pad_edge,
+                     require_int, require_odd_window)
 
 DEFAULT_SMOOTH_WINDOW = 5
 DEFAULT_MIN_SEPARATION = 16
@@ -27,22 +27,22 @@ class Histogram:
     """256 nonnegative per-level integer counts: an integer dtype, or
     objects that operator.index accepts, such as Python ints past the int64
     range. Real-valued counts, floats in an object array included, and
-    bools raise PreconditionError. counts is a read-only copy of the array
-    given, so total and the selectors read the counts that were checked."""
+    bools raise PreconditionError. counts is read-only and owned by the
+    histogram (raster._exact_cast), so total and the selectors read the
+    counts that were checked."""
 
     counts: np.ndarray
 
     def __post_init__(self):
-        # not raster._exact_cast: object arrays of ints past the int64 range
-        # keep their dtype and their exact values
-        c = np.array(self.counts)
+        # cast to the counts' own dtype: object arrays of ints past the int64
+        # range keep their dtype and their exact values
+        c = _exact_cast(self.counts, np.asarray(self.counts).dtype)
         if c.shape != (GRAY_DIM,):
             raise PreconditionError("histogram needs exactly 256 bins")
         if not _integer_counts(c):
             raise PreconditionError(f"histogram needs integer counts, got {c.dtype}")
         if c.min() < 0:
             raise PreconditionError("counts must be nonnegative")
-        c.flags.writeable = False
         object.__setattr__(self, "counts", c)
 
     @property

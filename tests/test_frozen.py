@@ -130,6 +130,7 @@ class TestLikeDataclass:
         # error when numpy must decide the truth of an elementwise compare;
         # unhashable either way
         pixels = np.zeros((2, 2), dtype=np.uint8)
+        pixels.flags.writeable = False
         assert GrayImage(pixels) == GrayImage(pixels)
         with pytest.raises(ValueError):
             GrayImage(pixels) == GrayImage(pixels.copy())

@@ -1,19 +1,23 @@
-"""Every value type and integer argument goes through one of raster's input
-checks (_exact_cast, require_int, pad_edge, require_same_shape), so an input
-one of them refuses raises PreconditionError wherever it arrives."""
+"""Every value type, integer and real argument goes through one of raster's
+input checks (_exact_cast, require_int, require_real, pad_edge,
+require_same_shape), so an input one of them refuses raises
+PreconditionError wherever it arrives."""
 
 import io
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from segkit.cli import run
-from segkit.clustering import Assignment, ClusterModel, PointSet, Weights, update_centers, weighted_sse
+from segkit.clustering import (Assignment, ClusterModel, ClusteringConfig, PointSet, Weights, edge_weights,
+                               update_centers, weighted_sse)
 from segkit.errors import NoTwoPeaks, PreconditionError
 from segkit.features import FeatureVector, local_histogram
+from segkit.predict import Trapezoid, trapezoid_membership
 from segkit.raster import GradientMap, GrayImage, LabelMap, decode_pnm, encode_pnm
-from segkit.region import RegionParams, merge_small_regions
+from segkit.region import RegionParams, _ratio, merge_small_regions
 from segkit.retrieval import ImageRecord, Index, ingest, search_exhaustive, search_optimized
 from segkit.threshold import binarize, gray_histogram, valley_threshold
 
@@ -119,6 +123,38 @@ def test_empty_values_raise_precondition_error(make):
 def test_integer_arguments_refuse_fractions(make):
     with pytest.raises(PreconditionError, match="must be an integer"):
         make()
+
+
+GRADIENT = GradientMap(np.array([[0, 3], [1, 2]]))
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: RegionParams(variance_threshold="1"), id="variance-threshold"),
+    pytest.param(lambda: RegionParams(contrast_guard=None), id="contrast-guard"),
+    pytest.param(lambda: ClusteringConfig(k=2, epsilon="0"), id="epsilon"),
+    pytest.param(lambda: edge_weights(GRADIENT, "1"), id="beta"),
+    pytest.param(lambda: Trapezoid("a", 1, 2, 3), id="knot"),
+    pytest.param(lambda: trapezoid_membership("x", Trapezoid(0, 1, 2, 3)), id="membership-value"),
+])
+def test_real_arguments_refuse_non_numbers(make):
+    with pytest.raises(PreconditionError, match="must be a real number"):
+        make()
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: ImageRecord(0, None, "d", [1, 1], 2), id="record-path"),
+    pytest.param(lambda: ImageRecord(0, "p", b"d", [1, 1], 2), id="record-description"),
+    pytest.param(lambda: ingest(Index(), GrayImage(np.zeros((2, 2), dtype=np.uint8)), None, "p"),
+                 id="ingest-description"),
+])
+def test_record_text_fields_must_be_str(make):
+    with pytest.raises(PreconditionError, match="must be str"):
+        make()
+
+
+def test_a_fraction_threshold_keeps_its_exact_value():
+    params = RegionParams(variance_threshold=Fraction(1, 3))
+    assert type(params.variance_threshold) is Fraction and _ratio(params.variance_threshold) == (1, 3)
 
 
 @pytest.mark.parametrize("search", [search_exhaustive, search_optimized])

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segkit import retrieval
+from segkit import cli, retrieval
 from segkit.cli import run
 from segkit.errors import FormatError
 from segkit.raster import GrayImage, RgbImage, encode_pnm, global_feature
@@ -244,6 +244,37 @@ class TestCli:
         data, sidecar = (tmp_path / "g.idx").read_bytes(), (tmp_path / "g.idx.cols").read_bytes()
         assert sidecar == sidecar_of(data.decode())[1]
         assert decode_sidecar(data, sidecar) is not None
+
+    @pytest.mark.parametrize("state", ["fresh", "other length", "other hash"])
+    @pytest.mark.parametrize("argv", [["query", "--index", "g.idx", "--top", "2", "g1.pgm"],
+                                      ["ingest", "--index", "g.idx", "--desc", "x", "g2.pgm"]])
+    def test_a_stale_sidecar_is_read_no_further_than_its_head(self, tmp_path, monkeypatch, state, argv):
+        ingest_two(tmp_path)
+        cols = tmp_path / "g.idx.cols"
+        if state == "other length":
+            cols.write_bytes(sidecar_of(encode_index(Index(256, records(5, 2, 256, 9))))[1])
+        elif state == "other hash":
+            sidecar = cols.read_bytes()
+            cols.write_bytes(sidecar[:8] + bytes(b ^ 1 for b in sidecar[8:16]) + sidecar[16:])
+        size, tally = cols.stat().st_size, []
+
+        class Counted(io.FileIO):
+            def read(self, size=-1):
+                data = super().read(size)
+                tally.append(len(data))
+                return data
+
+        def counting_open(path, *args, **kwargs):
+            return Counted(path) if str(path).endswith(".cols") else open(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", counting_open, raising=False)
+        got = invoke(str(tmp_path), argv), (tmp_path / "g.idx").read_bytes()
+        assert sum(tally) >= size if state == "fresh" else sum(tally) <= retrieval.SIDECAR_HEAD
+        monkeypatch.undo()
+        (tmp_path / "plain").mkdir()
+        ingest_two(tmp_path / "plain")
+        (tmp_path / "plain" / "g.idx.cols").unlink()
+        assert got == (invoke(str(tmp_path / "plain"), argv), (tmp_path / "plain" / "g.idx").read_bytes())
 
     @pytest.mark.parametrize("argv", [["query", "--index", "g.idx", "--top", "2", "g1.pgm"],
                                       ["ingest", "--index", "g.idx", "--desc", "x", "g2.pgm"]])
