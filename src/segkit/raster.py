@@ -54,9 +54,10 @@ def _exact_cast(values, dtype) -> np.ndarray:
     Every value type's array field comes from here, under one rule: an
     array that nobody can write (read-only down to the memory it owns, or
     to a bytes object) is kept as it is, a fresh array that the cast made
-    is frozen in place, and anything else, values itself or a view of
-    writable memory, is copied once."""
-    a = np.asarray(values)
+    is frozen in place, and anything else, values itself, a view of
+    writable memory or the array that values' __array__ hands out, is
+    copied once."""
+    given = a = np.asarray(values)
     if dtype is np.float64:
         if not np.isfinite(a := a.astype(dtype, copy=False)).all():
             raise PreconditionError("values must be finite")
@@ -67,7 +68,7 @@ def _exact_cast(values, dtype) -> np.ndarray:
         if not ((a >= info.min) & (a < info.max + 1)).all() or not ((cast := a.astype(dtype)) == a).all():
             raise PreconditionError(f"{a.dtype} values do not convert to {info.dtype} exactly")
         a = cast
-    if a.base is not None or a is values:
+    if a is given and (a.base is not None or hasattr(values, "__array__")):
         owner = a
         while isinstance(owner, np.ndarray) and not owner.flags.writeable:
             owner = owner.base

@@ -88,8 +88,9 @@ def build_inputs(directory: str) -> None:
         "flat_query": np.arange(256, dtype=np.uint8).reshape(16, 16), "flat": np.full((8, 8), 100, np.uint8),
         "valley_tie": _valley_tie(), "two_class": two_class, "tiny": np.array([[0, 255]], dtype=np.uint8),
     }
-    # three levels, where a window's float L1 distances break exact ties
-    # (92 of the 216 pixels) another way than exact rationals on 21 pixels
+    # gray levels 0, 60 and 120: at window 3, 92 of the 216 windows tie
+    # exactly between the two exemplars, and the float L1 distances label 21
+    # pixels otherwise than exact rationals with ties to the lower label do
     near_tie = {"near_tie": lcg_bytes(1, 216).reshape(6, 36), "near_tie_0": lcg_bytes(1001, 6).reshape(2, 3),
                 "near_tie_1": lcg_bytes(2001, 6).reshape(2, 3)}
     grays.update({name: p // 86 * 60 for name, p in near_tie.items()})
@@ -241,7 +242,7 @@ OPS = [
     ("ingest into empty index", ["ingest", "--index", "empty.idx", "--desc", "first", "ramp.pgm"],
      ["empty.idx"]),
     ("query once empty index", ["query", "--index", "empty.idx", "--top", "1", "ramp.pgm"], ["empty.idx"]),
-    # float L1 window ties; the exact labels differ (ROADMAP item 6)
+    # float L1 breaks window ties, so exact labels would differ (ROADMAP item 6)
     ("segment windows float tie", ["segment", "--method", "windows", "--window", "3", "--exemplar",
                                    "0:near_tie_0.pgm", "--exemplar", "1:near_tie_1.pgm", "near_tie.pgm",
                                    "s18.pgm"], ["s18.pgm"]),

@@ -125,14 +125,11 @@ def test_integer_arguments_refuse_fractions(make):
         make()
 
 
-GRADIENT = GradientMap(np.array([[0, 3], [1, 2]]))
-
-
 @pytest.mark.parametrize("make", [
     pytest.param(lambda: RegionParams(variance_threshold="1"), id="variance-threshold"),
     pytest.param(lambda: RegionParams(contrast_guard=None), id="contrast-guard"),
     pytest.param(lambda: ClusteringConfig(k=2, epsilon="0"), id="epsilon"),
-    pytest.param(lambda: edge_weights(GRADIENT, "1"), id="beta"),
+    pytest.param(lambda: edge_weights(GradientMap([[0, 3], [1, 2]]), "1"), id="beta"),
     pytest.param(lambda: Trapezoid("a", 1, 2, 3), id="knot"),
     pytest.param(lambda: trapezoid_membership("x", Trapezoid(0, 1, 2, 3)), id="membership-value"),
 ])

@@ -119,3 +119,17 @@ def test_a_label_map_of_an_assignment_shares_its_memory():
     assignment = Assignment(np.array([0, 1, 2, 1, 0, 2]))
     labels = LabelMap(assignment.member_of.reshape(2, 3), 3).labels
     assert np.shares_memory(labels, assignment.member_of)
+
+
+def test_an_array_handed_out_by_dunder_array_is_copied_not_frozen():
+    class Holder:
+        def __init__(self):
+            self.pixels = np.zeros((2, 2), dtype=np.uint8)
+
+        def __array__(self, dtype=None, copy=None):
+            return self.pixels
+
+    holder = Holder()
+    pixels = GrayImage(holder).pixels
+    holder.pixels[0, 0] = 9
+    assert pixels[0, 0] == 0 and not pixels.flags.writeable
