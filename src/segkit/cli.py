@@ -304,25 +304,6 @@ def _index_file(path: str) -> str:
     return os.path.realpath(path) if os.path.islink(path) else path
 
 
-def _sidecar_index(path: str, data: bytes) -> "retrieval.Index | None":
-    """decode_sidecar(data, <path>.cols), data being the bytes of the index
-    path; None when the sidecar cannot be read. The sidecar is read
-    unbuffered and its head first, so one keyed to other bytes is read no
-    further than its head, and data is hashed once."""
-    from . import retrieval
-    try:
-        with open(path + ".cols", "rb", buffering=0) as fh:
-            head = fh.read(retrieval.SIDECAR_HEAD)
-            if not retrieval.sidecar_keyed(data, head):
-                return None
-            fh.seek(0)
-            sidecar = fh.read()
-    except OSError:
-        return None
-    # the whole read starts with the head that was keyed, unless the file changed in place between the reads
-    return retrieval._keyed_sidecar_index(data, sidecar) if sidecar.startswith(head) else None
-
-
 def _load_index(path: str) -> "retrieval.Index":
     """The index in the file path, built from its column sidecar
     <path>.cols when that was made for the file's bytes, else decoded from
@@ -330,7 +311,11 @@ def _load_index(path: str) -> "retrieval.Index":
     changes nothing but the time taken."""
     from . import retrieval
     data = _read_bytes(path)
-    index = _sidecar_index(path, data)
+    try:
+        with open(path + ".cols", "rb", buffering=0) as fh:
+            index = retrieval.decode_sidecar(data, fh)
+    except OSError:
+        index = None
     if index is None:
         # no newline translation: decode_index sees, and rejects, a carriage return
         text = _utf8(data, path)

@@ -153,9 +153,12 @@ class ClusteringConfig:
 class ClusteringResult:
     model: ClusterModel
     assignment: Assignment
-    sse_trace: list
+    sse_trace: tuple[float, ...]
     iterations: int = 0
     converged: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "sse_trace", tuple(self.sse_trace))
 
 
 def _random_picks(n: int, k: int, seed: int) -> list[int]:

@@ -55,6 +55,7 @@ class FuzzyRule:
     antecedents: tuple[tuple[str, Trapezoid], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "antecedents", tuple((name, shape) for name, shape in self.antecedents))
         if not self.antecedents:
             raise PreconditionError("a rule needs at least one antecedent")
         names = [name for name, _ in self.antecedents]
@@ -67,6 +68,7 @@ class RuleBase:
     rules: tuple[FuzzyRule, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "rules", tuple(self.rules))
         if not self.rules:
             raise EmptyRuleBase("a rule base needs at least one rule")
 
@@ -164,12 +166,12 @@ def parse_rulebase(text: str) -> RuleBase:
                     raise RuleSyntaxError(f"line {lineno}: bad antecedent {clause.strip()!r}")
                 knots = [_parse_knot(m.group(g), lineno) for g in "abcd"]
                 antecedents.append((m.group("name"), Trapezoid(*knots)))
-            rules.append(FuzzyRule(label=label, antecedents=tuple(antecedents)))
+            rules.append(FuzzyRule(label=label, antecedents=antecedents))
         except (BadKnots, DuplicateFeatureInRule) as exc:
             raise type(exc)(f"line {lineno}: {exc}") from None
     if not rules:
         raise EmptyRuleBase("no rules found")
-    return RuleBase(tuple(rules))
+    return RuleBase(rules)
 
 
 def serialize_rulebase(rulebase: RuleBase) -> str:

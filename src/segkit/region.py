@@ -72,9 +72,12 @@ class RegionStats:
 @frozen
 class SegmentationResult:
     labels: LabelMap
-    stats: list[RegionStats]
+    stats: tuple[RegionStats, ...]
     seed_count: int
     merged: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "stats", tuple(self.stats))
 
 
 def _ratio(value) -> tuple[int, int]:

@@ -28,9 +28,10 @@ The column sidecar (encode_sidecar, decode_sidecar) holds the columns
 that decoding given index bytes yields, keyed by those bytes' length and
 importlib.util.source_hash, so a later process can build the index from
 it instead of parsing the text; any sidecar that is not keyed to the
-bytes at hand is a miss, and the text is decoded. sidecar_keyed reads
-the key from the sidecar's first SIDECAR_HEAD bytes alone, so a reader
-can tell a stale sidecar without reading the rest.
+bytes at hand is a miss, and the text is decoded. decode_sidecar, the
+one reader, takes the open sidecar file and reads its first SIDECAR_HEAD
+bytes, which hold the key, before the rest, so a stale sidecar is read
+no further than its head.
 
 An index supports one writer or many concurrent readers; searches are
 read-only, ingest needs exclusive access.
@@ -44,6 +45,7 @@ import importlib.util
 import itertools
 import re
 from collections.abc import Sequence
+from typing import BinaryIO
 
 import numpy as np
 
@@ -603,21 +605,13 @@ _SIDECAR_MAGIC = b"SEGCOLS1"
 SIDECAR_HEAD = 48
 
 
-def sidecar_keyed(data: bytes, head: bytes) -> bool:
-    """Whether head, the first SIDECAR_HEAD bytes of a sidecar or more,
-    carries the magic and the key of data: its length and hash."""
-    return (
-        len(head) >= SIDECAR_HEAD
-        and head.startswith(_SIDECAR_MAGIC)
-        and int.from_bytes(head[16:24], "little") == len(data)
-        and head[8:16] == importlib.util.source_hash(data)
-    )
-
-
 def encode_sidecar(index: Index, data: bytes) -> bytes:
     """The column sidecar of index, given data, the UTF-8 encoding of
     encode_index(index). Each count takes the fewest bytes (1, 2, 4 or 8)
-    that hold the largest count."""
+    that hold the largest count. An index with no records, which
+    decode_sidecar never yields, raises EmptyIndex."""
+    if not index._size():
+        raise EmptyIndex("index holds no records")
     table = index._table()
     n, dim = table.counts.shape
     width = np.min_scalar_type(int(table.counts.max())).itemsize
@@ -629,23 +623,31 @@ def encode_sidecar(index: Index, data: bytes) -> bytes:
     ])
 
 
-def decode_sidecar(data: bytes, sidecar: bytes) -> Index | None:
-    """decode_index(data.decode()), built from sidecar when it is the column
+def decode_sidecar(data: bytes, file: BinaryIO) -> Index | None:
+    """decode_index(data.decode()), built from the sidecar in file, a
+    seekable binary file at the sidecar's start, when that is the column
     sidecar of data: its key is data's length and hash, and its shapes
     match data's header, record count and length. None for any other
     sidecar (empty, truncated, garbage, stale, or keyed by the hash of
-    another Python version); never raises."""
-    return _keyed_sidecar_index(data, sidecar) if sidecar_keyed(data, sidecar) else None
-
-
-def _keyed_sidecar_index(data: bytes, sidecar: bytes) -> Index | None:
-    """decode_sidecar(data, sidecar) for a sidecar whose head sidecar_keyed
-    has accepted: the shapes are checked, the key is not hashed again."""
-    n, dim, width = np.frombuffer(sidecar, dtype="<u8", count=3, offset=24).tolist()
+    another Python version). The file is read in full only when its first
+    SIDECAR_HEAD bytes carry data's key, and data is hashed once; raises
+    only what reading the file raises."""
+    head = file.read(SIDECAR_HEAD)
+    if not (
+        len(head) == SIDECAR_HEAD
+        and head.startswith(_SIDECAR_MAGIC)
+        and int.from_bytes(head[16:24], "little") == len(data)
+        and head[8:16] == importlib.util.source_hash(data)
+    ):
+        return None
+    file.seek(0)
+    sidecar = file.read()
+    n, dim, width = np.frombuffer(head, dtype="<u8", count=3, offset=24).tolist()
     totals_at = SIDECAR_HEAD + n * dim * width
     bounds_at = totals_at + 8 * n
     shapes = n >= 1 and width in (1, 2, 4, 8) and dim in (COLOR_DIM, GRAY_DIM)
-    if not shapes or len(sidecar) != bounds_at + 8 * (n + 1):
+    # the whole read starts with the keyed head, unless the file changed in place between the reads
+    if not shapes or not sidecar.startswith(head) or len(sidecar) != bounds_at + 8 * (n + 1):
         return None
     try:
         text = data.decode("utf-8")

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from segkit import cli, retrieval
 from segkit.cli import run
-from segkit.errors import FormatError
+from segkit.errors import EmptyIndex, FormatError
 from segkit.raster import GrayImage, RgbImage, encode_pnm, global_feature
 from segkit.retrieval import (ImageRecord, Index, decode_index, decode_sidecar, encode_index, encode_sidecar,
                               search_exhaustive, search_optimized)
@@ -78,6 +78,19 @@ def sidecar_of(text: str) -> tuple[bytes, bytes]:
     return data, encode_sidecar(decode_index(text), data)
 
 
+class CountingFile(io.BytesIO):
+    """A sidecar file that records the size of each read."""
+
+    def __init__(self, data: bytes):
+        super().__init__(data)
+        self.tally = []
+
+    def read(self, size=-1):
+        data = super().read(size)
+        self.tally.append(len(data))
+        return data
+
+
 class TestCodec:
     @pytest.mark.parametrize("high, width", [(255, 1), (256, 2), (65535, 2), (65536, 4), (2**32, 8),
                                              (2**54, 8)])
@@ -86,7 +99,7 @@ class TestCodec:
         text = encode_index(Index(dim, records(dim + width, 5, dim, high)))
         data, sidecar = sidecar_of(text)
         assert len(sidecar) == 48 + 5 * dim * width + 8 * 5 + 8 * 6
-        hit, parsed = decode_sidecar(data, sidecar), decode_index(text)
+        hit, parsed = decode_sidecar(data, io.BytesIO(sidecar)), decode_index(text)
         assert hit.feature_dim == parsed.feature_dim == dim
         (columns, tail), (expected, _) = hit._parts, parsed._parts
         assert tail == [] and columns.counts.dtype.itemsize == width and not columns.counts.flags.writeable
@@ -106,7 +119,7 @@ class TestCodec:
 
     def test_ingest_after_a_hit_encodes_the_old_text_and_the_new_line(self):
         text = encode_index(Index(256, records(1, 4, 256, 300)))
-        index = decode_sidecar(*sidecar_of(text))
+        index = decode_sidecar(text.encode(), io.BytesIO(sidecar_of(text)[1]))
         new_id = retrieval.ingest(index, GrayImage(GRAYS[2]), "new", "new.pgm")
         reference = decode_index(text)
         retrieval.ingest(reference, GrayImage(GRAYS[2]), "new", "new.pgm")
@@ -137,20 +150,49 @@ class TestCodec:
         # the key another Python version computes: source_hash is keyed by the bytecode magic
         version = int.from_bytes(importlib.util.MAGIC_NUMBER[:2], "little") + 1
         misses.append(sidecar[:8] + _imp.source_hash(version, data) + sidecar[16:])
-        assert decode_sidecar(data, sidecar) is not None
+        assert decode_sidecar(data, io.BytesIO(sidecar)) is not None
         for miss in misses:
-            assert decode_sidecar(data, miss) is None
-        assert decode_sidecar(edited, sidecar) is None
+            assert decode_sidecar(data, io.BytesIO(miss)) is None
+        assert decode_sidecar(edited, io.BytesIO(sidecar)) is None
 
     def test_header_only_and_non_utf8_bytes_miss(self):
         data, sidecar = sidecar_of(encode_index(Index(64, records(4, 1, 64, 9))))
         header = b"SEGIDX\t1\t64\n"
         # an entry for no records, keyed to a header-only index
         empty = b"SEGCOLS1" + importlib.util.source_hash(header) + np.array([len(header), 0, 64, 1], "<u8").tobytes()
-        assert decode_sidecar(header, empty + np.zeros(1, "<i8").tobytes()) is None
+        assert decode_sidecar(header, io.BytesIO(empty + np.zeros(1, "<i8").tobytes())) is None
         bad = data[:-2] + b"\xff\n"
         keyed = sidecar[:8] + importlib.util.source_hash(bad) + sidecar[16:]
-        assert decode_sidecar(bad, keyed) is None
+        assert decode_sidecar(bad, io.BytesIO(keyed)) is None
+
+    @pytest.mark.parametrize("index", [Index(), Index(feature_dim=256), decode_index("SEGIDX\t1\t64\n")])
+    def test_encode_refuses_an_index_with_no_records(self, index):
+        with pytest.raises(EmptyIndex):
+            encode_sidecar(index, encode_index(index).encode())
+
+    def test_a_hit_reads_the_head_and_then_the_whole_file(self):
+        data, sidecar = sidecar_of(encode_index(Index(256, records(6, 3, 256, 300))))
+        file = CountingFile(sidecar)
+        assert decode_sidecar(data, file) is not None
+        assert file.tally == [retrieval.SIDECAR_HEAD, len(sidecar)]
+
+    @pytest.mark.parametrize("state", ["other length", "other hash", "other version", "garbage", "short"])
+    def test_a_miss_is_read_no_further_than_its_head(self, state):
+        data, sidecar = sidecar_of(encode_index(Index(256, records(7, 3, 256, 300))))
+        if state == "other length":
+            sidecar = sidecar_of(encode_index(Index(256, records(8, 2, 256, 9))))[1]
+        elif state == "other hash":
+            sidecar = sidecar[:8] + bytes(b ^ 1 for b in sidecar[8:16]) + sidecar[16:]
+        elif state == "other version":
+            version = int.from_bytes(importlib.util.MAGIC_NUMBER[:2], "little") + 1
+            sidecar = sidecar[:8] + _imp.source_hash(version, data) + sidecar[16:]
+        elif state == "garbage":
+            sidecar = bytes(range(48)) + sidecar[48:]
+        else:
+            sidecar = sidecar[: retrieval.SIDECAR_HEAD - 1]
+        file = CountingFile(sidecar)
+        assert decode_sidecar(data, file) is None
+        assert sum(file.tally) <= retrieval.SIDECAR_HEAD
 
 
 # What happens to the sidecar before an op, in the cached directory only:
@@ -243,7 +285,7 @@ class TestCli:
         ingest_two(tmp_path)
         data, sidecar = (tmp_path / "g.idx").read_bytes(), (tmp_path / "g.idx.cols").read_bytes()
         assert sidecar == sidecar_of(data.decode())[1]
-        assert decode_sidecar(data, sidecar) is not None
+        assert decode_sidecar(data, io.BytesIO(sidecar)) is not None
 
     @pytest.mark.parametrize("state", ["fresh", "other length", "other hash"])
     @pytest.mark.parametrize("argv", [["query", "--index", "g.idx", "--top", "2", "g1.pgm"],
@@ -287,6 +329,21 @@ class TestCli:
         monkeypatch.setattr(retrieval, "decode_index", refuse)
         code, stdout, err = invoke(str(tmp_path), argv)
         assert (code, err) == (0, "") and stdout
+
+    def test_a_query_that_hits_hashes_the_index_once(self, tmp_path, monkeypatch):
+        ingest_two(tmp_path)
+        hashed = []
+
+        def counting_hash(data):
+            hashed.append(len(data))
+            return source_hash(data)
+
+        source_hash = importlib.util.source_hash
+        monkeypatch.setattr(importlib.util, "source_hash", counting_hash)
+        monkeypatch.setattr(retrieval, "decode_index", None)  # a miss would fail
+        code, stdout, err = invoke(str(tmp_path), ["query", "--index", "g.idx", "--top", "2", "g1.pgm"])
+        assert (code, err) == (0, "") and stdout
+        assert hashed == [(tmp_path / "g.idx").stat().st_size]
 
     def test_query_writes_nothing(self, tmp_path):
         ingest_two(tmp_path)
