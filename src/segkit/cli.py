@@ -304,11 +304,12 @@ def _index_file(path: str) -> str:
     return os.path.realpath(path) if os.path.islink(path) else path
 
 
-def _load_index(path: str) -> "retrieval.Index":
-    """The index in the file path, built from its column sidecar
-    <path>.cols when that was made for the file's bytes, else decoded from
-    them. A sidecar that is missing, unreadable or made for other bytes
-    changes nothing but the time taken."""
+def _load_index(path: str) -> "tuple[retrieval.Index, bool]":
+    """The index in the file path, and whether it was decoded from the
+    file's text: it is built from its column sidecar <path>.cols when that
+    was made for the file's bytes, else decoded from them. A sidecar that is
+    missing, unreadable or made for other bytes changes nothing but the time
+    taken."""
     from . import retrieval
     data = _read_bytes(path)
     try:
@@ -320,8 +321,23 @@ def _load_index(path: str) -> "retrieval.Index":
         # no newline translation: decode_index sees, and rejects, a carriage return
         text = _utf8(data, path)
         del data  # the parse holds the text alone, not its bytes too
-        index = retrieval.decode_index(text)
-    return index
+        return retrieval.decode_index(text), True
+    return index, False
+
+
+def _write_sidecar(path: str, index: "retrieval.Index", data: bytes | None = None):
+    """Write <path>.cols, the column sidecar of index for data, the bytes of
+    the index file path (by default the UTF-8 encoding of encode_index(index),
+    which are the bytes a decoded index came from). The index file stands
+    without it, so every failure is swallowed, and the op's outcome stays
+    as it was: a sidecar that cannot be written (FormatError), made
+    (EmptyIndex for an index with no records) or held in memory only leaves
+    later ops to parse the text."""
+    from . import retrieval
+    with contextlib.suppress(FormatError, PreconditionError, MemoryError):
+        if data is None:
+            data = retrieval.encode_index(index).encode("utf-8")
+        _write_atomic_bytes(path + ".cols", retrieval.encode_sidecar(index, data))
 
 
 @contextlib.contextmanager
@@ -346,11 +362,13 @@ def _cmd_ingest(args) -> str:
     from reading the index to renaming the new index and then its column
     sidecar <index>.cols into place. Queries take no lock, since the
     renames already hand every reader whole files, and a sidecar is used
-    only for the index bytes it was made for."""
+    only for the index bytes it was made for. So a query that fills the
+    sidecar after a racing ingest renamed its own leaves a sidecar keyed to
+    the older bytes, which the next op reads as a miss."""
     from . import retrieval
     path = _index_file(args.index)
     with _exclusive_lock(path + ".lock"):
-        index = _load_index(path) if os.path.exists(path) else retrieval.Index()
+        index = _load_index(path)[0] if os.path.exists(path) else retrieval.Index()
         image = _read_image(args.input)
         rec_id = retrieval.ingest(index, image, args.desc, args.input)
         try:
@@ -358,22 +376,25 @@ def _cmd_ingest(args) -> str:
         except UnicodeEncodeError as exc:
             raise PreconditionError(f"path and description must be UTF-8 text: {exc.reason}") from None
         _write_atomic_bytes(path, data)
-        sidecar = retrieval.encode_sidecar(index, data)
-        # the index is in place: a sidecar that cannot be written only leaves later ops to parse it
-        with contextlib.suppress(FormatError):
-            _write_atomic_bytes(path + ".cols", sidecar)
+        _write_sidecar(path, index, data)
     return str(rec_id)
 
 
 def _cmd_query(args) -> str:
+    """A query that had to decode the index text fills its column sidecar
+    once it has its results, so the next op on the same bytes reads the
+    columns instead."""
     from . import retrieval
-    index = _load_index(_index_file(args.index))
+    index_path = _index_file(args.index)
+    index, decoded = _load_index(index_path)
     image = _read_image(args.input)
     query = global_feature(image)
     if args.exhaustive:
         results = retrieval.search_exhaustive(index, query, args.top)
     else:
         results, _ = retrieval.search_optimized(index, query, args.top)
+    if decoded:
+        _write_sidecar(index_path, index)
     lines = []
     for rank, r in enumerate(results, start=1):
         path = retrieval.escape_field(r.path)

@@ -79,6 +79,9 @@ class Prediction:
     confidence: float
     activations: tuple[float, ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "activations", tuple(self.activations))
+
 
 def trapezoid_membership(value: float, t: Trapezoid) -> float:
     """Degree in [0, 1] of value under the trapezoid; PreconditionError for

@@ -68,6 +68,9 @@ class RegionStats:
     size_fraction: float
     boundary_fraction: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "bbox", tuple(self.bbox))
+
 
 @frozen
 class SegmentationResult:
@@ -312,7 +315,7 @@ def region_stats(labels: LabelMap, image: GrayImage) -> list[RegionStats]:
                 size=n,
                 mean=float(mean),
                 variance=float(variance),
-                bbox=tuple(bounds[j]),
+                bbox=bounds[j],
                 size_fraction=n / total,
                 boundary_fraction=int(bcounts[j]) / n,
             )

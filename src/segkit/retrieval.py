@@ -28,10 +28,13 @@ The column sidecar (encode_sidecar, decode_sidecar) holds the columns
 that decoding given index bytes yields, keyed by those bytes' length and
 importlib.util.source_hash, so a later process can build the index from
 it instead of parsing the text; any sidecar that is not keyed to the
-bytes at hand is a miss, and the text is decoded. decode_sidecar, the
-one reader, takes the open sidecar file and reads its first SIDECAR_HEAD
-bytes, which hold the key, before the rest, so a stale sidecar is read
-no further than its head.
+bytes at hand is a miss, and the text is decoded. This module only
+encodes and decodes it: the CLI writes it beside the index file after an
+ingest, and after a query that missed, from the decoded index and the
+bytes encode_index gives back for it, which are the bytes it was decoded
+from. decode_sidecar, the one reader, takes the open sidecar file and
+reads its first SIDECAR_HEAD bytes, which hold the key, before the rest,
+so a stale sidecar is read no further than its head.
 
 An index supports one writer or many concurrent readers; searches are
 read-only, ingest needs exclusive access.

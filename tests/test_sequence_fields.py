@@ -7,9 +7,10 @@ import pytest
 
 from segkit.clustering import ClusteringConfig, segment_clustering
 from segkit.errors import DuplicateFeatureInRule
-from segkit.predict import FuzzyRule, RuleBase, Trapezoid, predict_label
+from segkit.predict import FuzzyRule, Prediction, RuleBase, Trapezoid, predict_label
 from segkit.raster import GrayImage
-from segkit.region import RegionParams, primary_segment
+from segkit.region import RegionParams, RegionStats, primary_segment
+from segkit.threshold import ThresholdReport
 
 
 def halves() -> GrayImage:
@@ -53,3 +54,29 @@ def test_a_rule_built_from_a_list_is_hashable_and_keeps_its_checked_antecedents(
     assert hash(rule) == hash(FuzzyRule("dark", (("mean", Trapezoid(0, 0, 50, 100)),)))
     with pytest.raises(DuplicateFeatureInRule):
         FuzzyRule("dark", antecedents + [["size", Trapezoid(0, 0, 1, 1)]])
+
+
+def test_region_stats_keep_their_bbox_when_its_list_changes():
+    b = [0, 0, 1, 1]
+    s = RegionStats(0, 4, 1.0, 0.0, b, 1.0, 0.0)
+    b[2] = 99
+    assert s.bbox == (0, 0, 1, 1) and type(s.bbox) is tuple
+    assert hash(s) == hash(RegionStats(0, 4, 1.0, 0.0, (0, 0, 1, 1), 1.0, 0.0))
+    assert all(type(r.bbox) is tuple for r in primary_segment(halves(), RegionParams(min_seed_size=4)).stats)
+
+
+def test_a_prediction_keeps_its_activations_when_their_list_is_cleared():
+    activations = [0.25, 0.75]
+    prediction = Prediction("bright", 0.75, activations)
+    activations.clear()
+    assert prediction.activations == (0.25, 0.75)
+    assert hash(prediction) == hash(Prediction("bright", 0.75, (0.25, 0.75)))
+
+
+def test_threshold_peaks_are_a_tuple_or_none():
+    peaks = [10, 200]
+    report = ThresholdReport(100, "valley", peaks)
+    peaks[0] = 150
+    assert report.peaks == (10, 200) and hash(report) == hash(ThresholdReport(100, "valley", (10, 200)))
+    assert ThresholdReport(100, "otsu").peaks is None
+    assert ThresholdReport(100, "otsu", None).peaks is None

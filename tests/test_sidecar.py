@@ -1,8 +1,9 @@
 """The column sidecar: `segkit ingest` writes <index>.cols beside the index,
-and `segkit query` and `segkit ingest` build the index from it when it was
-made for the index's exact bytes. A sidecar never changes an outcome: every
-op gives the exit code, stdout, stderr and index bytes of a run that never
-had one, whatever state the sidecar is in."""
+a `segkit query` that had to decode the index text fills it, and `segkit
+query` and `segkit ingest` build the index from it when it was made for the
+index's exact bytes. A sidecar never changes an outcome: every op gives the
+exit code, stdout, stderr and index bytes of a run that never had one,
+whatever state the sidecar is in."""
 
 import _imp
 import importlib.util
@@ -274,6 +275,15 @@ def test_a_sidecar_never_changes_an_outcome(steps):
                     os.remove(cols)
 
 
+QUERY = ["query", "--index", "g.idx", "--top", "2", "g1.pgm"]
+
+
+def snapshot(directory) -> dict:
+    """Each file in directory by name: its bytes (None for a directory) and
+    modification time."""
+    return {p.name: (read(str(p)), p.stat().st_mtime_ns) for p in directory.iterdir()}
+
+
 def ingest_two(directory) -> None:
     write_images(str(directory))
     for image in ("g0.pgm", "g1.pgm"):
@@ -345,17 +355,73 @@ class TestCli:
         assert (code, err) == (0, "") and stdout
         assert hashed == [(tmp_path / "g.idx").stat().st_size]
 
-    def test_query_writes_nothing(self, tmp_path):
+    def test_a_query_that_hits_writes_nothing(self, tmp_path):
         ingest_two(tmp_path)
-        argv = ["query", "--index", "g.idx", "--top", "2", "g1.pgm"]
-        for state in ("fresh", "stale", "none"):
-            if state == "stale":
-                (tmp_path / "g.idx.cols").write_bytes(sidecar_of(encode_index(Index(256, records(5, 2, 256, 9))))[1])
-            elif state == "none":
-                (tmp_path / "g.idx.cols").unlink()
-            before = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in tmp_path.iterdir()}
-            assert invoke(str(tmp_path), argv)[0] == 0
-            assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in tmp_path.iterdir()} == before
+        before = snapshot(tmp_path)
+        assert invoke(str(tmp_path), QUERY)[0] == 0
+        assert snapshot(tmp_path) == before
+
+    @pytest.mark.parametrize("state", ["none", "other length", "other hash", "truncated"])
+    def test_a_query_that_misses_fills_the_sidecar(self, tmp_path, state):
+        ingest_two(tmp_path)
+        cols = tmp_path / "g.idx.cols"
+        hit = invoke(str(tmp_path), QUERY)
+        if state == "none":
+            cols.unlink()
+        elif state == "other length":
+            cols.write_bytes(sidecar_of(encode_index(Index(256, records(5, 2, 256, 9))))[1])
+        elif state == "other hash":
+            sidecar = cols.read_bytes()
+            cols.write_bytes(sidecar[:8] + bytes(b ^ 1 for b in sidecar[8:16]) + sidecar[16:])
+        else:
+            cols.write_bytes(cols.read_bytes()[:40])
+        before = snapshot(tmp_path)
+        before.pop(cols.name, None)
+        assert invoke(str(tmp_path), QUERY) == hit
+        after = snapshot(tmp_path)
+        assert after.pop(cols.name)[0] == sidecar_of((tmp_path / "g.idx").read_text())[1]
+        assert after == before
+
+    def test_a_sidecar_directory_stays_and_the_query_prints_as_before(self, tmp_path):
+        ingest_two(tmp_path)
+        hit = invoke(str(tmp_path), QUERY)
+        (tmp_path / "g.idx.cols").unlink()
+        (tmp_path / "g.idx.cols").mkdir()
+        before = snapshot(tmp_path)
+        assert invoke(str(tmp_path), QUERY) == hit
+        assert snapshot(tmp_path) == before and not os.listdir(tmp_path / "g.idx.cols")
+
+    def test_a_header_only_index_gets_no_fill(self, tmp_path):
+        write_images(str(tmp_path))
+        (tmp_path / "g.idx").write_bytes(b"SEGIDX\t1\t256\n")
+        before = snapshot(tmp_path)
+        assert invoke(str(tmp_path), QUERY) == (3, "", "segkit: index holds no records\n")
+        assert snapshot(tmp_path) == before
+
+    def test_a_fill_after_a_racing_ingest_is_a_miss_that_fills_again(self, tmp_path, monkeypatch):
+        ingest_two(tmp_path)
+        cols = tmp_path / "g.idx.cols"
+        cols.unlink()
+        old = (tmp_path / "g.idx").read_bytes()
+        search = retrieval.search_optimized
+
+        def racing(*args):
+            # the ingest runs after the query read the index and before its fill
+            monkeypatch.setattr(retrieval, "search_optimized", search)
+            assert invoke(str(tmp_path), ["ingest", "--index", "g.idx", "--desc", "race", "g2.pgm"]) == (0, "2\n", "")
+            return search(*args)
+
+        monkeypatch.setattr(retrieval, "search_optimized", racing)
+        assert invoke(str(tmp_path), QUERY)[0] == 0
+        data = (tmp_path / "g.idx").read_bytes()
+        assert data != old and cols.read_bytes() == sidecar_of(old.decode())[1]
+        assert decode_sidecar(data, io.BytesIO(cols.read_bytes())) is None
+        plain = tmp_path / "plain"
+        plain.mkdir()
+        write_images(str(plain))
+        (plain / "g.idx").write_bytes(data)
+        assert invoke(str(tmp_path), QUERY) == invoke(str(plain), QUERY)
+        assert cols.read_bytes() == sidecar_of(data.decode())[1]
 
     @pytest.mark.parametrize("mode", ["ingest", "query"])
     def test_an_index_corrupted_in_place_beside_its_sidecar_names_the_line(self, tmp_path, mode):
@@ -388,3 +454,16 @@ class TestCli:
         monkeypatch.setattr(retrieval, "decode_index", None)  # a query through the link hits
         code, stdout, _ = invoke(str(tmp_path), ["query", "--index", "link.idx", "--top", "1", "g1.pgm"])
         assert code == 0 and stdout.startswith("1\t1\t1.000000\t")
+
+    def test_a_query_through_a_symlink_fills_beside_its_target(self, tmp_path):
+        ingest_two(tmp_path)
+        (tmp_path / "data").mkdir()
+        os.rename(tmp_path / "g.idx", tmp_path / "data" / "real.idx")
+        (tmp_path / "g.idx.cols").unlink()
+        (tmp_path / "link.idx").symlink_to(os.path.join("data", "real.idx"))
+        code, stdout, _ = invoke(str(tmp_path), ["query", "--index", "link.idx", "--top", "1", "g1.pgm"])
+        assert code == 0 and stdout.startswith("1\t1\t1.000000\t")
+        sidecar = sidecar_of((tmp_path / "data" / "real.idx").read_text())[1]
+        assert (tmp_path / "data" / "real.idx.cols").read_bytes() == sidecar
+        assert sorted(os.listdir(tmp_path / "data")) == ["real.idx", "real.idx.cols"]
+        assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".cols") or p.name.startswith(".segkit")]
