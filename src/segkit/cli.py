@@ -94,7 +94,8 @@ def _read_gray(path: str) -> GrayImage:
     return image
 
 
-def _write_atomic_bytes(path: str, data: bytes):
+def _write_atomic_bytes(path: str, *parts):
+    """Replace path by a file of the bytes-like parts, written in turn."""
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".segkit-tmp{os.urandom(6).hex()}")
     try:
         # the kernel applies the umask, as for a file open(path, "w") creates
@@ -106,7 +107,7 @@ def _write_atomic_bytes(path: str, data: bytes):
             # a replaced file keeps its mode where the file system allows chmod
             with contextlib.suppress(OSError):
                 os.fchmod(fh.fileno(), stat.S_IMODE(os.stat(path).st_mode))
-            fh.write(data)
+            fh.writelines(parts)
         os.replace(tmp, path)
     except BaseException as exc:
         if os.path.exists(tmp):
@@ -337,7 +338,7 @@ def _write_sidecar(path: str, index: "retrieval.Index", data: bytes | None = Non
     with contextlib.suppress(FormatError, PreconditionError, MemoryError):
         if data is None:
             data = retrieval.encode_index(index).encode("utf-8")
-        _write_atomic_bytes(path + ".cols", retrieval.encode_sidecar(index, data))
+        _write_atomic_bytes(path + ".cols", *retrieval.encode_sidecar(index, data))
 
 
 @contextlib.contextmanager

@@ -26,15 +26,15 @@ bounded blocks of rows as one matrix.
 
 The column sidecar (encode_sidecar, decode_sidecar) holds the columns
 that decoding given index bytes yields, keyed by those bytes' length and
-importlib.util.source_hash, so a later process can build the index from
-it instead of parsing the text; any sidecar that is not keyed to the
-bytes at hand is a miss, and the text is decoded. This module only
-encodes and decodes it: the CLI writes it beside the index file after an
-ingest, and after a query that missed, from the decoded index and the
-bytes encode_index gives back for it, which are the bytes it was decoded
-from. decode_sidecar, the one reader, takes the open sidecar file and
-reads its first SIDECAR_HEAD bytes, which hold the key, before the rest,
-so a stale sidecar is read no further than its head.
+importlib.util.source_hash and closed by a wrap-around sum of its words,
+so a later process can build the index from it instead of parsing the
+text; a sidecar not keyed to the bytes at hand, or damaged so that its
+sum fails, is a miss, and the text is decoded. This module only encodes
+and decodes it: the CLI writes it beside the index file after an ingest,
+and after a query that missed. decode_sidecar, the one reader, takes the
+open sidecar file and reads its first SIDECAR_HEAD bytes, which hold the
+key, then the rest in one read, so a stale sidecar is read no further
+than its head.
 
 An index supports one writer or many concurrent readers; searches are
 read-only, ingest needs exclusive access.
@@ -152,9 +152,9 @@ class _Columns:
         )
 
     def then(self, other: _Columns) -> _Columns:
-        """These rows followed by other's, the counts in the narrowest
+        """These rows, if any, followed by other's, the counts in the narrowest
         unsigned dtype that holds them."""
-        high = max(int(self.counts.max()), int(other.counts.max()))
+        high = max(int(self.counts.max(initial=0)), int(other.counts.max()))
         # unsafe only in name: every count fits, high being the largest
         counts = np.concatenate((self.counts, other.counts), dtype=np.min_scalar_type(high), casting="unsafe")
         counts.flags.writeable = False
@@ -602,39 +602,45 @@ def decode_index(text: str) -> Index:
 # of those bytes (the SipHash that keys hash-based .pyc files, PEP 552),
 # then as uint64 their length, the record count n, the feature dimension
 # and the width in bytes of one count; then the (n, dim) counts as unsigned
-# ints of that width, the n totals as int64, and the n + 1 line bounds of
-# _Columns as int64.
-_SIDECAR_MAGIC = b"SEGCOLS1"
+# ints of that width, the n totals as int64, the n + 1 line bounds of
+# _Columns as int64, and last the uint64 sum, wrapping at 2**64, of every
+# 8-byte word after the key.
+_SIDECAR_MAGIC = b"SEGCOLS2"
 SIDECAR_HEAD = 48
 
 
-def encode_sidecar(index: Index, data: bytes) -> bytes:
+def _word_sum(*buffers) -> int:
+    """The sum, wrapping at 2**64, of the buffers' whole little-endian uint64
+    words; bytes short of a word, which only damaged shapes leave, add nothing."""
+    return sum(int(np.frombuffer(b, "<u8", count=memoryview(b).nbytes // 8).sum()) for b in buffers) % 2**64
+
+
+def encode_sidecar(index: Index, data: bytes) -> list[bytes | np.ndarray]:
     """The column sidecar of index, given data, the UTF-8 encoding of
-    encode_index(index). Each count takes the fewest bytes (1, 2, 4 or 8)
-    that hold the largest count. An index with no records, which
-    decode_sidecar never yields, raises EmptyIndex."""
+    encode_index(index), as its buffers in order, to be written in turn.
+    Each count takes the fewest bytes (1, 2, 4 or 8) that hold the largest
+    count. An index with no records, which gets no sidecar, raises
+    EmptyIndex."""
     if not index._size():
         raise EmptyIndex("index holds no records")
     table = index._table()
     n, dim = table.counts.shape
     width = np.min_scalar_type(int(table.counts.max())).itemsize
-    # bytes.join takes the arrays' buffers as they are: C-contiguous, so no extra copy
-    return b"".join([
-        _SIDECAR_MAGIC, importlib.util.source_hash(data), np.array([len(data), n, dim, width], dtype="<u8"),
-        table.counts.astype(f"<u{width}", copy=False),
-        np.array(table.totals, dtype="<i8"), np.array(table.bounds, dtype="<i8"),
-    ])
+    # C-contiguous arrays, whose buffers a file takes as they are
+    words = [np.array([len(data), n, dim, width], dtype="<u8"), table.counts.astype(f"<u{width}", copy=False),
+             np.array(table.totals, dtype="<i8"), np.array(table.bounds, dtype="<i8")]
+    return [_SIDECAR_MAGIC, importlib.util.source_hash(data), *words, _word_sum(*words).to_bytes(8, "little")]
 
 
 def decode_sidecar(data: bytes, file: BinaryIO) -> Index | None:
-    """decode_index(data.decode()), built from the sidecar in file, a
-    seekable binary file at the sidecar's start, when that is the column
-    sidecar of data: its key is data's length and hash, and its shapes
-    match data's header, record count and length. None for any other
-    sidecar (empty, truncated, garbage, stale, or keyed by the hash of
-    another Python version). The file is read in full only when its first
-    SIDECAR_HEAD bytes carry data's key, and data is hashed once; raises
-    only what reading the file raises."""
+    """decode_index(data.decode()), built from the sidecar in file, a binary
+    file at the sidecar's start, when that is the column sidecar of data:
+    its key is data's length and hash, its size fits its shapes, and its
+    trailing sum matches. None for any other sidecar (empty, truncated,
+    damaged, stale, or keyed by the hash of another Python version). The
+    file is read in two reads: its first SIDECAR_HEAD bytes, then the rest
+    only when those carry data's key; data is hashed once. The sum finds
+    damage, not forgery. Raises only what reading the file raises."""
     head = file.read(SIDECAR_HEAD)
     if not (
         len(head) == SIDECAR_HEAD
@@ -643,27 +649,23 @@ def decode_sidecar(data: bytes, file: BinaryIO) -> Index | None:
         and head[8:16] == importlib.util.source_hash(data)
     ):
         return None
-    file.seek(0)
-    sidecar = file.read()
+    rest = file.read()
     n, dim, width = np.frombuffer(head, dtype="<u8", count=3, offset=24).tolist()
-    totals_at = SIDECAR_HEAD + n * dim * width
+    totals_at = n * dim * width
     bounds_at = totals_at + 8 * n
-    shapes = n >= 1 and width in (1, 2, 4, 8) and dim in (COLOR_DIM, GRAY_DIM)
-    # the whole read starts with the keyed head, unless the file changed in place between the reads
-    if not shapes or not sidecar.startswith(head) or len(sidecar) != bounds_at + 8 * (n + 1):
+    sum_at = bounds_at + 8 * (n + 1)
+    if width not in (1, 2, 4, 8) or len(rest) != sum_at + 8:
+        return None
+    if _word_sum(head[16:], memoryview(rest)[:sum_at]) != int.from_bytes(rest[sum_at:], "little"):
         return None
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError:
         return None
-    header = _header(dim)
-    body = text[len(header) :]
-    bounds = np.frombuffer(sidecar, dtype="<i8", count=n + 1, offset=bounds_at).tolist()
-    if not text.startswith(header) or bounds[0] != 0 or bounds[-1] != len(body):
-        return None
     # read-only, as an array over bytes is
-    counts = np.frombuffer(sidecar, dtype=f"<u{width}", count=n * dim, offset=SIDECAR_HEAD).reshape(n, dim)
-    totals = np.frombuffer(sidecar, dtype="<i8", count=n, offset=totals_at).tolist()
+    counts = np.frombuffer(rest, dtype=f"<u{width}", count=n * dim).reshape(n, dim)
+    totals = np.frombuffer(rest, dtype="<i8", count=n, offset=totals_at).tolist()
+    bounds = np.frombuffer(rest, dtype="<i8", count=n + 1, offset=bounds_at).tolist()
     index = Index(feature_dim=dim)
-    index._parts = (_Columns(np.arange(n), counts, totals, body, bounds), [])
+    index._parts = (_Columns(np.arange(n), counts, totals, text[len(_header(dim)) :], bounds), [])
     return index

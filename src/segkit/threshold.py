@@ -10,6 +10,7 @@ floating-point rounding.
 
 from __future__ import annotations
 
+import itertools
 import operator
 
 import numpy as np
@@ -134,21 +135,13 @@ def valley_threshold(
     """
     min_separation = require_int(min_separation, "min_separation")
     smoothed = _window_sums(h.counts, smooth_window)
-    maxima = _local_maxima(smoothed)
-    best = None
-    for i in range(len(maxima)):
-        for j in range(i + 1, len(maxima)):
-            lo, hi = maxima[i], maxima[j]
-            if hi - lo < max(min_separation, 2):
-                continue
-            v_hi, v_lo = sorted((smoothed[lo], smoothed[hi]), reverse=True)
-            # prefer larger values, then lower bins
-            key = (-v_hi, -v_lo, lo, hi)
-            if best is None or key < best[0]:
-                best = (key, lo, hi)
-    if best is None:
+    # maxima pairs (lo, hi), lo < hi, never adjacent, so a bin lies between them
+    separated = [(lo, hi) for lo, hi in itertools.combinations(_local_maxima(smoothed), 2)
+                 if hi - lo >= max(min_separation, 2)]
+    if not separated:
         raise NoTwoPeaks(f"no two local maxima separated by >= {min_separation} bins")
-    _, p_lo, p_hi = best
+    # keyed (-higher value, -lower value, lo, hi): larger values win, then lower bins
+    p_lo, p_hi = min(separated, key=lambda p: (*sorted([-smoothed[p[0]], -smoothed[p[1]]]), *p))
     between = smoothed[p_lo + 1 : p_hi]
     level = p_lo + 1 + int(np.argmin(between))
     return ThresholdReport(level=level, method="valley", peaks=(p_lo, p_hi))
