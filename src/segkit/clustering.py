@@ -137,13 +137,11 @@ class ClusteringConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("k", "max_iter", "seed"):
-            object.__setattr__(self, name, require_int(getattr(self, name), name))
         if self.k < 1:
             raise PreconditionError("k must be >= 1")
         if self.max_iter < 1:
             raise PreconditionError("max_iter must be >= 1")
-        if not require_real(self.epsilon, "epsilon") >= 0:  # also rejects nan
+        if not self.epsilon >= 0:  # also rejects nan
             raise PreconditionError("epsilon must be >= 0")
         if self.init not in ("quantile", "seeded-random"):
             raise PreconditionError(f"unknown init strategy {self.init!r}")
@@ -156,9 +154,6 @@ class ClusteringResult:
     sse_trace: tuple[float, ...]
     iterations: int = 0
     converged: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "sse_trace", tuple(self.sse_trace))
 
 
 def _random_picks(n: int, k: int, seed: int) -> list[int]:

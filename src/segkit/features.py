@@ -65,10 +65,8 @@ class Exemplar:
     feature: FeatureVector
 
     def __post_init__(self):
-        label = require_int(self.label, "exemplar label")
-        if not 0 <= label <= np.iinfo(np.int32).max:  # labels are int32
-            raise PreconditionError(f"exemplar label must be in [0, 2**31 - 1], got {label}")
-        object.__setattr__(self, "label", label)
+        if not 0 <= self.label <= np.iinfo(np.int32).max:  # labels are int32
+            raise PreconditionError(f"exemplar label must be in [0, 2**31 - 1], got {self.label}")
         if self.feature.dimension != GRAY_DIM:
             raise PreconditionError("exemplar features must have 256 bins")
 

@@ -43,8 +43,6 @@ class Trapezoid:
     d: float
 
     def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            require_real(getattr(self, name), f"knot {name}")
         if not (self.a <= self.b <= self.c <= self.d):
             raise BadKnots(f"knots must satisfy a <= b <= c <= d, got {self}")
 
@@ -55,7 +53,13 @@ class FuzzyRule:
     antecedents: tuple[tuple[str, Trapezoid], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "antecedents", tuple((name, shape) for name, shape in self.antecedents))
+        try:
+            pairs = tuple((name, shape) for name, shape in self.antecedents)
+        except (TypeError, ValueError):  # an antecedent that is no pair
+            pairs = None
+        if pairs is None or not all(isinstance(name, str) and isinstance(shape, Trapezoid) for name, shape in pairs):
+            raise PreconditionError(f"rule {self.label!r}: each antecedent must be a (str, Trapezoid) pair")
+        object.__setattr__(self, "antecedents", pairs)
         if not self.antecedents:
             raise PreconditionError("a rule needs at least one antecedent")
         names = [name for name, _ in self.antecedents]
@@ -68,7 +72,6 @@ class RuleBase:
     rules: tuple[FuzzyRule, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "rules", tuple(self.rules))
         if not self.rules:
             raise EmptyRuleBase("a rule base needs at least one rule")
 
@@ -79,14 +82,12 @@ class Prediction:
     confidence: float
     activations: tuple[float, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "activations", tuple(self.activations))
-
 
 def trapezoid_membership(value: float, t: Trapezoid) -> float:
     """Degree in [0, 1] of value under the trapezoid; PreconditionError for
     a value that is not a real number (require_real) or not finite, which
-    has no degree."""
+    has no degree. An infinite a or d makes its ramp a shoulder of degree 1,
+    the ramp's limit."""
     if not math.isfinite(require_real(value, "feature value")):
         raise PreconditionError(f"feature value must be finite, got {value!r}")
     if value < t.a or value > t.d:
@@ -95,8 +96,8 @@ def trapezoid_membership(value: float, t: Trapezoid) -> float:
         return 1.0
     if value < t.b:
         # a < b here: value >= a and value < b rule out a == b
-        return (value - t.a) / (t.b - t.a)
-    return (t.d - value) / (t.d - t.c)
+        return 1.0 if t.a == -math.inf else (value - t.a) / (t.b - t.a)
+    return 1.0 if t.d == math.inf else (t.d - value) / (t.d - t.c)
 
 
 def rule_activation(rule: FuzzyRule, features: dict[str, float]) -> float:

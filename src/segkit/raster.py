@@ -97,6 +97,15 @@ def require_real(value, name: str):
     return value
 
 
+# How frozen reads a field, by its annotation spelled with any [...] dropped.
+_FIELD_READERS = {
+    "int": require_int,
+    "float": require_real,
+    "tuple": lambda value, name: tuple(value),
+    "tuple | None": lambda value, name: None if value is None else tuple(value),
+}
+
+
 class FrozenInstanceError(AttributeError):
     """Assignment to, or deletion of, an attribute of a frozen value."""
 
@@ -106,13 +115,21 @@ def frozen(cls: type) -> type:
 
     The fields are cls's annotated names, in order, recorded in cls._fields;
     a class attribute of the same name is the field's default. __init__
-    binds positional and keyword arguments to the fields, stores them and
-    calls __post_init__ if cls defines it, which may normalize a field with
-    object.__setattr__. __repr__ spells each field as name=repr(value), and
-    __eq__ and __hash__ compare and hash the tuple of field values. Setting
-    or deleting an attribute raises FrozenInstanceError. The methods are
-    plain closures, so decorating a class compiles no code."""
-    names = tuple(cls.__dict__.get("__annotations__", ()))
+    binds positional and keyword arguments to the fields and reads each by
+    its annotation, postponed or evaluated: int through require_int (stored
+    as the Python int), float through require_real, tuple[...] as a tuple,
+    and tuple[...] | None the same but keeping None; other fields are kept
+    as given. It then calls __post_init__ if cls defines it, which may check
+    or normalize a field with object.__setattr__. __repr__ spells each
+    field as name=repr(value), and __eq__ and __hash__ compare and hash the
+    tuple of field values. Setting or deleting an attribute raises
+    FrozenInstanceError. The methods are plain closures, so decorating a
+    class compiles no code."""
+    annotations = cls.__dict__.get("__annotations__", {})
+    names = tuple(annotations)
+    # an evaluated tuple[...] is named "tuple"; an evaluated union has no name
+    spelled = {n: re.sub(r"\[.*\]", "", getattr(a, "__name__", str(a))) for n, a in annotations.items()}
+    readers = [(n, _FIELD_READERS[s]) for n, s in spelled.items() if s in _FIELD_READERS]
     known = frozenset(names)
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
     required = known - defaults.keys()
@@ -142,6 +159,9 @@ def frozen(cls: type) -> type:
             self.__dict__.update(values)
         else:  # every field by position: the common call, kept fast
             self.__dict__.update(zip(names, args))
+        fields = self.__dict__
+        for name, read in readers:
+            fields[name] = read(fields[name], name)
         if post_init is not None:
             post_init(self)
 
@@ -227,7 +247,6 @@ class LabelMap(_Raster):
         lab = _exact_cast(self.labels, np.int32)
         if lab.ndim != 2 or lab.shape[0] < 1 or lab.shape[1] < 1:
             raise PreconditionError("labels must be a (height, width) array with both dims >= 1")
-        object.__setattr__(self, "k", require_int(self.k, "k"))
         if self.k < 1:
             raise PreconditionError("k must be >= 1")
         if self.complete:

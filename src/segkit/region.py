@@ -30,8 +30,6 @@ from .raster import (
     frozen,
     label_bounds,
     pad_edge,
-    require_int,
-    require_real,
     require_same_shape,
     window_sums,
 )
@@ -46,10 +44,6 @@ class RegionParams:
     contrast_guard: float = 40.0
 
     def __post_init__(self):
-        for name in ("smooth_radius", "min_seed_size", "min_region_size"):
-            object.__setattr__(self, name, require_int(getattr(self, name), name))
-        for name in ("variance_threshold", "contrast_guard"):
-            require_real(getattr(self, name), name)
         if self.smooth_radius < 0 or not 0 <= self.variance_threshold < math.inf:
             raise PreconditionError("need smooth_radius >= 0 and a finite variance_threshold >= 0")
         if self.min_seed_size < 1:
@@ -68,9 +62,6 @@ class RegionStats:
     size_fraction: float
     boundary_fraction: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "bbox", tuple(self.bbox))
-
 
 @frozen
 class SegmentationResult:
@@ -78,9 +69,6 @@ class SegmentationResult:
     stats: tuple[RegionStats, ...]
     seed_count: int
     merged: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "stats", tuple(self.stats))
 
 
 def _ratio(value) -> tuple[int, int]:

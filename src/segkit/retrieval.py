@@ -96,19 +96,16 @@ class ImageRecord:
         c = _exact_cast(self.counts, np.int64)
         if c.ndim != 1:
             raise PreconditionError(_NONNEGATIVE)
-        # a Python int, so total * dim cannot wrap as a numpy integer would
-        total = require_int(self.total, "total")
-        object.__setattr__(self, "id", require_int(self.id, "id"))
         if not isinstance(self.path, str) or not isinstance(self.description, str):
             raise PreconditionError("path and description must be str")
-        fault = _record_fault(c[None], [total], [self.description])
+        # total is a Python int (raster.frozen), so total * dim cannot wrap
+        fault = _record_fault(c[None], [self.total], [self.description])
         if fault is not None:
             raise PreconditionError(fault)
         object.__setattr__(self, "counts", c)
-        object.__setattr__(self, "total", total)
         # ",".join(map(str, c.tolist())), but formatted by one %-template: less work
         counts = _count_template(c.size) % tuple(c.tolist())
-        line = f"{self.id}\t{total}\t{counts}\t{escape_field(self.path)}\t{escape_field(self.description)}"
+        line = f"{self.id}\t{self.total}\t{counts}\t{escape_field(self.path)}\t{escape_field(self.description)}"
         object.__setattr__(self, "_line", line)
 
     @classmethod

@@ -82,10 +82,6 @@ class ThresholdReport:
     method: str
     peaks: tuple[int, int] | None = None
 
-    def __post_init__(self):
-        if self.peaks is not None:
-            object.__setattr__(self, "peaks", tuple(self.peaks))
-
 
 def gray_histogram(image: GrayImage) -> Histogram:
     """global_feature_counts as a Histogram: PreconditionError for an RgbImage."""

@@ -1,16 +1,18 @@
 """raster.frozen, the helper behind every segkit value type: binding,
-__post_init__, immutability, and the dataclass-compatible __repr__,
-__eq__ and __hash__."""
+the field rule, __post_init__, immutability, and the dataclass-compatible
+__repr__, __eq__ and __hash__."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from segkit.clustering import ClusteringConfig
+from segkit.clustering import Assignment, ClusteringConfig, ClusteringResult, ClusterModel
+from segkit.errors import PreconditionError
 from segkit.raster import FrozenInstanceError, GrayImage, LabelMap, frozen
-from segkit.region import RegionParams
+from segkit.region import RegionParams, RegionStats
 from segkit.retrieval import Index, RankedResult, _Columns, decode_index, encode_index, ingest
+from segkit.threshold import ThresholdReport
 
 
 @frozen
@@ -64,6 +66,32 @@ class TestBinding:
 
     def test_no_post_init(self):
         assert Bare(value=[1]).value == [1]
+
+
+class TestFieldRule:
+    @pytest.mark.parametrize("build, field", [
+        (lambda: RankedResult(1.5, 0.5, "p", "d"), "id"),
+        (lambda: ThresholdReport(2.5, "otsu"), "level"),
+        (lambda: RegionStats(0, 4, "1", 0.0, (0, 0, 1, 1), 1.0, 0.0), "mean"),
+    ], ids=["RankedResult", "ThresholdReport", "RegionStats"])
+    def test_a_wrong_typed_scalar_is_refused_by_name(self, build, field):
+        with pytest.raises(PreconditionError, match=f"^{field} must be"):
+            build()
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda: RankedResult(np.int64(3), 0.5, "p", "d"), "id"),
+        (lambda: ThresholdReport(np.uint8(3), "otsu"), "level"),
+        (lambda: ClusteringResult(ClusterModel([[0.0]]), Assignment([0]), [1.0], np.int32(3)), "iterations"),
+    ], ids=["RankedResult", "ThresholdReport", "ClusteringResult"])
+    def test_a_numpy_integer_is_stored_as_int(self, build, field):
+        value = getattr(build(), field)
+        assert type(value) is int and value == 3
+
+    def test_evaluated_annotations(self):
+        # this module has no postponed annotations, so Span's are types
+        assert type(Span(np.int64(1), 2).start) is int
+        with pytest.raises(PreconditionError, match="^stop must be an integer"):
+            Span(1, 2.0)
 
 
 class TestFrozen:

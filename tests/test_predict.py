@@ -64,6 +64,16 @@ class TestTrapezoidMembership:
         with pytest.raises(PreconditionError):
             trapezoid_membership(value, Trapezoid(*knots))
 
+    @pytest.mark.parametrize("knots, value, degree", [
+        ((0, 1, 2, float("inf")), 5.0, 1.0),
+        ((0, 1, 2, float("inf")), 0.5, 0.5),
+        ((float("-inf"), 0, 1, 2), -5.0, 1.0),
+        ((float("-inf"), 0, 1, 2), 1.5, 0.5),
+    ])
+    def test_an_infinite_ramp_is_a_shoulder(self, knots, value, degree):
+        # inf / inf once made the degree nan
+        assert trapezoid_membership(value, Trapezoid(*knots)) == degree
+
 
 class TestRuleActivation:
     def test_all_memberships_one(self):
@@ -137,6 +147,19 @@ class TestPredictLabel:
         p1 = predict_label(RuleBase((strong,)), {"x": 5})
         p2 = predict_label(RuleBase((strong, weak)), {"x": 5})
         assert p1.label == p2.label == "win"
+
+
+class TestFuzzyRule:
+    @pytest.mark.parametrize("antecedents", [
+        [("x", Trapezoid(0, 1, 2, 3), 3)],
+        [("x",)],
+        [3],
+        [("x", "notatrap")],
+        [(3, Trapezoid(0, 1, 2, 3))],
+    ])
+    def test_an_antecedent_is_a_name_and_a_trapezoid(self, antecedents):
+        with pytest.raises(PreconditionError, match=r"rule 'r': each antecedent must be a \(str, Trapezoid\) pair"):
+            FuzzyRule("r", antecedents)
 
 
 class TestParseRulebase:

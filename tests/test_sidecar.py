@@ -411,6 +411,28 @@ class TestCli:
         assert after.pop(cols.name)[0] == sidecar_of((tmp_path / "g.idx").read_text())[1]
         assert after == before
 
+    def test_a_flipped_bit_anywhere_in_the_sidecar_changes_no_outcome(self, tmp_path):
+        ingest_two(tmp_path)
+        cols, index = tmp_path / "g.idx.cols", tmp_path / "g.idx"
+        sidecar, data = cols.read_bytes(), index.read_bytes()
+        ops = [QUERY, ["ingest", "--index", "g.idx", "--desc", "x", "g2.pgm"]]
+
+        def outcome(argv, sidecar):
+            index.write_bytes(data)
+            if sidecar is None:
+                cols.unlink(missing_ok=True)
+            else:
+                cols.write_bytes(sidecar)
+            return invoke(str(tmp_path), argv), index.read_bytes()
+
+        plain = [outcome(argv, None) for argv in ops]
+        # bit 0 of every 3rd byte, through the head, counts, totals and bounds,
+        # and of the closing sum's first byte
+        for at in [*range(0, len(sidecar), 3), len(sidecar) - 8]:
+            flipped = sidecar[:at] + bytes([sidecar[at] ^ 1]) + sidecar[at + 1 :]
+            for argv, want in zip(ops, plain):
+                assert outcome(argv, flipped) == want, (at, argv[0])
+
     def test_a_sidecar_directory_stays_and_the_query_prints_as_before(self, tmp_path):
         ingest_two(tmp_path)
         hit = invoke(str(tmp_path), QUERY)
