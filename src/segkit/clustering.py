@@ -61,12 +61,9 @@ class PointSet:
     points: np.ndarray
 
     def __post_init__(self):
-        p = _exact_cast(self.points, np.float64)
-        if p.ndim == 1:
-            p = p.reshape(-1, 1)
-        if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] < 1:
-            raise PreconditionError("points must be a nonempty (n, d) array")
-        object.__setattr__(self, "points", p)
+        p = np.asarray(self.points)
+        p = p.reshape(-1, 1) if p.ndim == 1 else self.points  # 1-D: n points of dimension 1
+        object.__setattr__(self, "points", _exact_cast(p, np.float64, 2, "points"))
 
     @property
     def n(self) -> int:
@@ -84,9 +81,9 @@ class Weights:
     values: np.ndarray
 
     def __post_init__(self):
-        v = _exact_cast(self.values, np.float64)
-        if v.ndim != 1 or v.size < 1 or v.min() < 0:
-            raise PreconditionError("weights must be a nonempty 1-D nonnegative array")
+        v = _exact_cast(self.values, np.float64, 1, "values")
+        if v.min() < 0:
+            raise PreconditionError("weights must be nonnegative")
         if v.max() <= 0:
             raise PreconditionError("at least one weight must be positive")
         object.__setattr__(self, "values", v)
@@ -103,10 +100,8 @@ class Assignment:
     member_of: np.ndarray
 
     def __post_init__(self):
-        m = _exact_cast(self.member_of, np.int32)
-        if m.ndim != 1:
-            raise PreconditionError("member_of must be one-dimensional")
-        if m.size and m.min() < 0:
+        m = _exact_cast(self.member_of, np.int32, 1, "member_of")
+        if m.min() < 0:
             raise PreconditionError("cluster indices must be nonnegative")
         object.__setattr__(self, "member_of", m)
 
@@ -118,10 +113,7 @@ class ClusterModel:
     centers: np.ndarray
 
     def __post_init__(self):
-        c = _exact_cast(self.centers, np.float64)
-        if c.ndim != 2 or c.shape[0] < 1:
-            raise PreconditionError("centers must be a (k, d) array with k >= 1")
-        object.__setattr__(self, "centers", c)
+        object.__setattr__(self, "centers", _exact_cast(self.centers, np.float64, 2, "centers"))
 
     @property
     def k(self) -> int:

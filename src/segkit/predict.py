@@ -96,8 +96,17 @@ def trapezoid_membership(value: float, t: Trapezoid) -> float:
         return 1.0
     if value < t.b:
         # a < b here: value >= a and value < b rule out a == b
-        return 1.0 if t.a == -math.inf else (value - t.a) / (t.b - t.a)
-    return 1.0 if t.d == math.inf else (t.d - value) / (t.d - t.c)
+        return 1.0 if t.a == -math.inf else _ramp(value, t.a, t.b, t.a)
+    return 1.0 if t.d == math.inf else _ramp(t.d, value, t.d, t.c)
+
+
+def _ramp(p, q, r, s) -> float:
+    """(p - q) / (r - s) for finite operands, 0 <= p - q <= r - s; on halved
+    operands, which halving keeps exact above the subnormals, when r - s
+    overflows, where the direct ratio is inf / inf or finite / inf."""
+    if (width := r - s) == math.inf:
+        return (p / 2 - q / 2) / (r / 2 - s / 2)
+    return (p - q) / width
 
 
 def rule_activation(rule: FuzzyRule, features: dict[str, float]) -> float:

@@ -44,12 +44,13 @@ _FIELD = rb"(?:\s|#[^\n\r]*(?![^\n\r]))*([^\s#]\S*)"
 _HEADER = re.compile(rb"(?:%s(?:%s(?:%s)?)?)?" % (_FIELD, _FIELD, _FIELD))
 
 
-def _exact_cast(values, dtype) -> np.ndarray:
-    """values as a read-only dtype array that nothing else can write;
-    PreconditionError when the cast would alter a value: one out of
-    range, fractional, or not finite. A float64 target takes any real value
-    and refuses nan and inf; a target equal to the values' own dtype only
-    takes ownership.
+def _exact_cast(values, dtype, ndim: int, name: str) -> np.ndarray:
+    """values, the array field name, as a read-only dtype array that nothing
+    else can write; PreconditionError when the cast would alter a value (one
+    out of range, fractional, or not finite), or, naming the field, when the
+    result has other than ndim dimensions or an empty one. A float64 target
+    takes any real value and refuses nan and inf; a target equal to the
+    values' own dtype only takes ownership.
 
     Every value type's array field comes from here, under one rule: an
     array that nobody can write (read-only down to the memory it owns, or
@@ -68,6 +69,8 @@ def _exact_cast(values, dtype) -> np.ndarray:
         if not ((a >= info.min) & (a < info.max + 1)).all() or not ((cast := a.astype(dtype)) == a).all():
             raise PreconditionError(f"{a.dtype} values do not convert to {info.dtype} exactly")
         a = cast
+    if a.ndim != ndim or 0 in a.shape:
+        raise PreconditionError(f"{name} must be a {ndim}-D array with no empty dimension, got shape {a.shape}")
     if a is given and (a.base is not None or hasattr(values, "__array__")):
         owner = a
         while isinstance(owner, np.ndarray) and not owner.flags.writeable:
@@ -212,10 +215,7 @@ class GrayImage(_Raster):
     pixels: np.ndarray
 
     def __post_init__(self):
-        p = _exact_cast(self.pixels, np.uint8)
-        if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] < 1:
-            raise PreconditionError("GrayImage needs a (height, width) array with both dims >= 1")
-        object.__setattr__(self, "pixels", p)
+        object.__setattr__(self, "pixels", _exact_cast(self.pixels, np.uint8, 2, "pixels"))
 
 
 @frozen
@@ -225,9 +225,9 @@ class RgbImage(_Raster):
     pixels: np.ndarray
 
     def __post_init__(self):
-        p = _exact_cast(self.pixels, np.uint8)
-        if p.ndim != 3 or p.shape[2] != 3 or p.shape[0] < 1 or p.shape[1] < 1:
-            raise PreconditionError("RgbImage needs a (height, width, 3) array with both dims >= 1")
+        p = _exact_cast(self.pixels, np.uint8, 3, "pixels")
+        if p.shape[2] != 3:
+            raise PreconditionError(f"pixels must be (height, width, 3), got shape {p.shape}")
         object.__setattr__(self, "pixels", p)
 
 
@@ -244,9 +244,7 @@ class LabelMap(_Raster):
     complete: bool = True
 
     def __post_init__(self):
-        lab = _exact_cast(self.labels, np.int32)
-        if lab.ndim != 2 or lab.shape[0] < 1 or lab.shape[1] < 1:
-            raise PreconditionError("labels must be a (height, width) array with both dims >= 1")
+        lab = _exact_cast(self.labels, np.int32, 2, "labels")
         if self.k < 1:
             raise PreconditionError("k must be >= 1")
         if self.complete:
@@ -265,9 +263,9 @@ class GradientMap(_Raster):
     magnitude: np.ndarray
 
     def __post_init__(self):
-        m = _exact_cast(self.magnitude, np.int32)
-        if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1 or m.min() < 0:
-            raise PreconditionError("magnitude must be a nonnegative (height, width) array, both dims >= 1")
+        m = _exact_cast(self.magnitude, np.int32, 2, "magnitude")
+        if m.min() < 0:
+            raise PreconditionError("magnitude must be nonnegative")
         object.__setattr__(self, "magnitude", m)
 
 
@@ -279,9 +277,9 @@ class FeatureVector:
     bins: np.ndarray
 
     def __post_init__(self):
-        b = _exact_cast(self.bins, np.float64)
-        if b.ndim != 1 or b.size < 1 or b.min() < 0:
-            raise PreconditionError("bins must be a nonempty 1-D nonnegative array")
+        b = _exact_cast(self.bins, np.float64, 1, "bins")
+        if b.min() < 0:
+            raise PreconditionError("bins must be nonnegative")
         if abs(b.sum() - 1.0) > _NORMALIZATION_TOL:
             raise PreconditionError("normalized feature bins must sum to 1")
         object.__setattr__(self, "bins", b)

@@ -93,9 +93,7 @@ class ImageRecord:
     total: int
 
     def __post_init__(self):
-        c = _exact_cast(self.counts, np.int64)
-        if c.ndim != 1:
-            raise PreconditionError(_NONNEGATIVE)
+        c = _exact_cast(self.counts, np.int64, 1, "counts")
         if not isinstance(self.path, str) or not isinstance(self.description, str):
             raise PreconditionError("path and description must be str")
         # total is a Python int (raster.frozen), so total * dim cannot wrap
@@ -129,10 +127,10 @@ class ImageRecord:
 class _Columns:
     """Checked records as columns, in index order: int64 ids, a read-only
     (n, dim) counts matrix of an integer dtype that holds every count (int64
-    when parsed from text), the totals, and the records' encoded lines as
-    one text, each line ending in a newline, with the offset of each line's
-    start and the text's length. Path and description are read from a
-    row's line when asked for."""
+    when parsed from text), the totals, and the records' encoded lines, each
+    ending in a newline, in one text (a decoded index's whole text, header
+    line first) with the offset of each line's start and the text's length.
+    Path and description are read from a row's line when asked for."""
 
     ids: np.ndarray
     counts: np.ndarray
@@ -247,9 +245,6 @@ class RankedResult:
     description: str
 
 
-_NONNEGATIVE = "counts must be a 1-D nonnegative array"
-
-
 def _record_fault(
     counts: np.ndarray, totals: Sequence[int], descriptions: Sequence[str]
 ) -> str | None:
@@ -261,7 +256,7 @@ def _record_fault(
     sums = counts.sum(axis=1).tolist()
     for low, high, s, t, desc in zip(lows, highs, sums, totals, descriptions):
         if low < 0:
-            return _NONNEGATIVE
+            return "counts must be nonnegative"
         # no wrap-around: nonnegative counts no larger than total < 2**63 / dim
         # have an int64 sum below 2**63
         if not (0 < t * dim < 2**63 and high <= t and s == t):
@@ -455,7 +450,10 @@ def encode_index(index: Index) -> str:
         raise PreconditionError(f"unsupported feature dimension {dim}")
     _require_rows(index, dim, ids=True)
     head, tail = index._parts
-    return "".join([_header(dim), "" if head is None else head.text, *(r._line + "\n" for r in tail)])
+    # head.text begins with the header it was decoded from, which is
+    # _header(dim) once _require_rows holds: decoding reads only _header's
+    # spelling, and dim is the width of head's counts
+    return "".join([_header(dim) if head is None else head.text, *(r._line + "\n" for r in tail)])
 
 
 def _header(dim: int) -> str:
@@ -589,8 +587,8 @@ def decode_index(text: str) -> Index:
         raise BadRecord(f"line {lo + 2}: {_parse_records(records[lo:hi], dim, lo)}")
     if not terminated:
         raise BadRecord(f"line {len(lines)}: missing final newline")
-    bounds = list(itertools.accumulate((len(line) + 1 for line in records), initial=0))
-    index._parts = (_Columns(np.arange(len(records)), *parsed, text[len(lines[0]) + 1 :], bounds), [])
+    bounds = list(itertools.accumulate((len(line) + 1 for line in records), initial=len(lines[0]) + 1))
+    index._parts = (_Columns(np.arange(len(records)), *parsed, text, bounds), [])
     return index
 
 
@@ -600,8 +598,8 @@ def decode_index(text: str) -> Index:
 # then as uint64 their length, the record count n, the feature dimension
 # and the width in bytes of one count; then the (n, dim) counts as unsigned
 # ints of that width, the n totals as int64, the n + 1 line bounds of
-# _Columns as int64, and last the uint64 sum, wrapping at 2**64, of every
-# 8-byte word after the key.
+# _Columns, counted from the first record line's start, as int64, and last
+# the uint64 sum, wrapping at 2**64, of every 8-byte word after the key.
 _SIDECAR_MAGIC = b"SEGCOLS2"
 SIDECAR_HEAD = 48
 
@@ -625,7 +623,7 @@ def encode_sidecar(index: Index, data: bytes) -> list[bytes | np.ndarray]:
     width = np.min_scalar_type(int(table.counts.max())).itemsize
     # C-contiguous arrays, whose buffers a file takes as they are
     words = [np.array([len(data), n, dim, width], dtype="<u8"), table.counts.astype(f"<u{width}", copy=False),
-             np.array(table.totals, dtype="<i8"), np.array(table.bounds, dtype="<i8")]
+             np.array(table.totals, dtype="<i8"), (np.array(table.bounds) - table.bounds[0]).astype("<i8")]
     return [_SIDECAR_MAGIC, importlib.util.source_hash(data), *words, _word_sum(*words).to_bytes(8, "little")]
 
 
@@ -662,7 +660,7 @@ def decode_sidecar(data: bytes, file: BinaryIO) -> Index | None:
     # read-only, as an array over bytes is
     counts = np.frombuffer(rest, dtype=f"<u{width}", count=n * dim).reshape(n, dim)
     totals = np.frombuffer(rest, dtype="<i8", count=n, offset=totals_at).tolist()
-    bounds = np.frombuffer(rest, dtype="<i8", count=n + 1, offset=bounds_at).tolist()
+    bounds = (np.frombuffer(rest, dtype="<i8", count=n + 1, offset=bounds_at) + len(_header(dim))).tolist()
     index = Index(feature_dim=dim)
-    index._parts = (_Columns(np.arange(n), counts, totals, text[len(_header(dim)) :], bounds), [])
+    index._parts = (_Columns(np.arange(n), counts, totals, text, bounds), [])
     return index

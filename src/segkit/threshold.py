@@ -37,7 +37,7 @@ class Histogram:
     def __post_init__(self):
         # cast to the counts' own dtype: object arrays of ints past the int64
         # range keep their dtype and their exact values
-        c = _exact_cast(self.counts, np.asarray(self.counts).dtype)
+        c = _exact_cast(self.counts, np.asarray(self.counts).dtype, 1, "counts")
         if c.shape != (GRAY_DIM,):
             raise PreconditionError("histogram needs exactly 256 bins")
         if not _integer_counts(c):

@@ -16,7 +16,7 @@ from segkit.clustering import (Assignment, ClusterModel, ClusteringConfig, Point
 from segkit.errors import NoTwoPeaks, PreconditionError
 from segkit.features import FeatureVector, local_histogram
 from segkit.predict import Trapezoid, trapezoid_membership
-from segkit.raster import GradientMap, GrayImage, LabelMap, decode_pnm, encode_pnm
+from segkit.raster import GradientMap, GrayImage, LabelMap, RgbImage, decode_pnm, encode_pnm
 from segkit.region import RegionParams, _ratio, merge_small_regions
 from segkit.retrieval import ImageRecord, Index, ingest, search_exhaustive, search_optimized
 from segkit.threshold import binarize, gray_histogram, valley_threshold
@@ -106,6 +106,35 @@ def test_value_types_refuse_values_their_cast_would_alter(make):
 def test_empty_values_raise_precondition_error(make):
     with pytest.raises(PreconditionError):
         make()
+
+
+# Every array value type: (the type, its array field, a shape the field
+# takes, its other fields). The shape rule runs before the types' value
+# checks, so zeros of any shape reach it.
+ARRAY_FIELDS = [
+    (GrayImage, "pixels", (2, 3), {}),
+    (RgbImage, "pixels", (2, 3, 3), {}),
+    (LabelMap, "labels", (2, 3), {"k": 1}),
+    (GradientMap, "magnitude", (2, 3), {}),
+    (FeatureVector, "bins", (4,), {}),
+    (PointSet, "points", (2, 3), {}),
+    (Weights, "values", (4,), {}),
+    (Assignment, "member_of", (4,), {}),  # empty: refused since the shape rule
+    (ClusterModel, "centers", (2, 3), {}),  # (2, 0): refused since the shape rule
+    (ImageRecord, "counts", (4,), {"id": 0, "path": "p", "description": "d", "total": 1}),
+]
+
+
+@pytest.mark.parametrize("cls, name, shape, others", [
+    pytest.param(cls, name, bad, others, id=f"{cls.__name__}-{'x'.join(map(str, bad)) or 'scalar'}")
+    for cls, name, shape, others in ARRAY_FIELDS
+    # one dimension too many, none at all, and each dimension emptied in turn
+    for bad in [shape + (1,), ()] + [shape[:i] + (0,) + shape[i + 1:] for i in range(len(shape))]
+])
+def test_array_fields_refuse_another_shape_naming_the_field(cls, name, shape, others):
+    with pytest.raises(PreconditionError) as refused:
+        cls(**{name: np.zeros(shape)}, **others)
+    assert str(refused.value).startswith(f"{name} must be a ")
 
 
 @pytest.mark.parametrize("make", [

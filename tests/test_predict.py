@@ -74,6 +74,15 @@ class TestTrapezoidMembership:
         # inf / inf once made the degree nan
         assert trapezoid_membership(value, Trapezoid(*knots)) == degree
 
+    @pytest.mark.parametrize("knots, value", [
+        ((-1e308, 1e308, 1e308, 1e308), 9e307),
+        ((-1e308, -1e308, -1e308, 1e308), -9e307),
+    ])
+    def test_a_ramp_wider_than_the_float_range_keeps_its_degree(self, knots, value):
+        # finite knots, but value - a and b - a (or d - value and d - c) both
+        # overflowed to inf, which made the degree nan
+        assert trapezoid_membership(value, Trapezoid(*knots)) == 0.95
+
 
 class TestRuleActivation:
     def test_all_memberships_one(self):

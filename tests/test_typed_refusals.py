@@ -2,14 +2,19 @@
 check, and the error names that check, so deleting the check fails its
 test."""
 
+import io
+import os
+
 import numpy as np
 import pytest
 
-from segkit.clustering import ClusteringConfig, Weights
-from segkit.errors import BadHeader, IncompleteLabels, PreconditionError, RuleSyntaxError, TruncatedData
-from segkit.features import refine_boundaries
-from segkit.predict import parse_rulebase
-from segkit.raster import UNLABELED, GrayImage, LabelMap, box_smooth, decode_pnm
+from segkit import cli
+from segkit.clustering import Assignment, ClusteringConfig, Weights
+from segkit.errors import (BadHeader, EmptyRuleBase, IncompleteLabels, PreconditionError, RuleSyntaxError,
+                           TruncatedData)
+from segkit.features import local_histogram, refine_boundaries
+from segkit.predict import FuzzyRule, RuleBase, parse_rulebase
+from segkit.raster import UNLABELED, GrayImage, LabelMap, box_smooth, decode_pnm, encode_pnm, global_feature_counts
 from segkit.region import RegionParams, merge_small_regions
 from segkit.retrieval import decode_index
 from segkit.threshold import Histogram, binarize
@@ -97,3 +102,46 @@ def test_weights_need_a_positive_weight():
 def test_clustering_config_refuses_an_unknown_init():
     with pytest.raises(PreconditionError, match="unknown init strategy 'x'"):
         ClusteringConfig(k=2, init="x")
+
+
+@pytest.mark.parametrize("convert", [encode_pnm, global_feature_counts])
+def test_image_functions_refuse_a_non_image(convert):
+    with pytest.raises(TypeError, match="expected GrayImage or RgbImage, got ndarray"):
+        convert(GRAY.pixels)
+
+
+@pytest.mark.parametrize("x, y", [(2, 0), (0, 2), (-1, 0)])
+def test_local_histogram_refuses_a_point_outside_the_image(x, y):
+    with pytest.raises(PreconditionError, match=f"\\({x}, {y}\\) outside 2x2 image"):
+        local_histogram(GRAY, x, y, 1)
+
+
+def test_fuzzy_rule_needs_an_antecedent():
+    with pytest.raises(PreconditionError, match="a rule needs at least one antecedent"):
+        FuzzyRule("a", [])
+
+
+def test_rule_base_needs_a_rule():
+    with pytest.raises(EmptyRuleBase, match="a rule base needs at least one rule"):
+        RuleBase(())
+
+
+def test_assignment_refuses_a_negative_index():
+    with pytest.raises(PreconditionError, match="cluster indices must be nonnegative"):
+        Assignment([0, -1])
+
+
+def test_atomic_write_interrupted_removes_its_temp_file(tmp_path, monkeypatch):
+    # only an OSError becomes a FormatError; anything else is re-raised as it
+    # is, after the temp file is removed and with the target left untouched
+    class Interrupted(io.BufferedWriter):
+        def writelines(self, parts):
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli.os, "fdopen", lambda fd, mode: Interrupted(io.FileIO(fd, "w")))
+    target = tmp_path / "out.pgm"
+    target.write_bytes(b"old")
+    with pytest.raises(KeyboardInterrupt):
+        cli._write_atomic_bytes(str(target), b"new")
+    assert os.listdir(tmp_path) == ["out.pgm"]
+    assert target.read_bytes() == b"old"
